@@ -321,19 +321,32 @@ func (sm *ServiceManager) fillStandbys(h *Service) {
 		kept = append(kept, sb)
 	}
 	h.standbys = kept
-	deficit := h.desc.WarmStandbys - len(kept)
-	finished := h.finished || h.terminated
-	h.mu.Unlock()
-	if finished {
+	deficit := h.desc.WarmStandbys - len(kept) - h.sbSpawning
+	if h.finished || h.terminated || deficit <= 0 {
+		h.mu.Unlock()
 		return
 	}
+	h.sbSpawning += deficit
+	h.mu.Unlock()
 	for i := 0; i < deficit; i++ {
 		sm.spawnStandby(h)
 	}
 }
 
-// spawnStandby fires off one standby bootstrap for h. Routing or
-// dispatch failures are dropped — the next autoscale tick refills.
+// endSpawn settles one claimed standby bootstrap, adding ref to the pool
+// unless the spawn failed (nil ref).
+func (h *Service) endSpawn(ref *standbyRef) {
+	h.mu.Lock()
+	h.sbSpawning--
+	if ref != nil {
+		h.standbys = append(h.standbys, ref)
+	}
+	h.mu.Unlock()
+}
+
+// spawnStandby fires off one standby bootstrap claimed by fillStandbys.
+// Routing or dispatch failures are dropped — the next autoscale tick
+// refills.
 func (sm *ServiceManager) spawnStandby(h *Service) {
 	h.mu.Lock()
 	h.sbSeq++
@@ -358,21 +371,22 @@ func (sm *ServiceManager) spawnStandby(h *Service) {
 	sm.mu.Lock()
 	if sm.closed {
 		sm.mu.Unlock()
+		h.endSpawn(nil)
 		return
 	}
 	p, err := sm.routeStandbyLocked(d, exclude)
 	sm.mu.Unlock()
 	if err != nil {
+		h.endSpawn(nil)
 		return
 	}
 	inst, err := p.Services().Submit(d)
 	if err != nil {
+		h.endSpawn(nil)
 		return
 	}
 	ref := &standbyRef{uid: suid, inst: inst, p: p}
-	h.mu.Lock()
-	h.standbys = append(h.standbys, ref)
-	h.mu.Unlock()
+	h.endSpawn(ref)
 	// Plain goroutine on purpose: it blocks on state-change channels,
 	// which a clock-registered goroutine must never do.
 	go sm.holdStandby(h, ref)
@@ -435,7 +449,7 @@ func (sm *ServiceManager) promoteStandby(h *Service) bool {
 		var ref *standbyRef
 		idx := -1
 		for i, sb := range h.standbys {
-			if sb.held && !sb.inst.Final() && sb.p.State() == states.PilotActive {
+			if sb.held && !sb.inst.Final() && sb.p.Live() {
 				ref, idx = sb, i
 				break
 			}

@@ -543,11 +543,12 @@ func (pm *PilotManager) List() []*pilot.Pilot {
 	return out
 }
 
+// shutdownAll shuts every pilot down. Shutdown on a pilot another caller
+// is already tearing down waits for that teardown, so shutdownAll returns
+// only once every pilot has finished.
 func (pm *PilotManager) shutdownAll() {
 	for _, p := range pm.List() {
-		if p.State() == states.PilotActive {
-			_ = p.Shutdown()
-		}
+		_ = p.Shutdown()
 	}
 }
 
@@ -804,11 +805,11 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 		// it; replay skips the duplicate.
 		tm.sess.journalAppend(journal.KindTask, journal.TaskBody{UID: d.UID, Desc: d})
 		if _, err := tm.dispatch(t, p); err != nil {
-			// The routed pilot left ACTIVE between routing and dispatch.
+			// The routed pilot stopped between routing and dispatch.
 			// Seal and drop the handle (a concurrent Wait/Tasks snapshot
-			// may already hold it), then retry: the state filter now
-			// excludes the dead pilot. Terminal pilot states make the
-			// retry count finite.
+			// may already hold it), then retry: the liveness filter now
+			// excludes the dead pilot. A stopped pilot never comes back,
+			// so the retry count is finite.
 			t.finish(err)
 			tm.mu.Lock()
 			delete(tm.tasks, d.UID)
@@ -838,9 +839,9 @@ func pickPilot(pilots []*pilot.Pilot, rt router.Router, kind string, d spec.Task
 	if d.Pilot != "" {
 		for _, p := range pilots {
 			if p.UID() == d.Pilot {
-				if p.State() != states.PilotActive {
-					return nil, fmt.Errorf("core: %s %s pinned to pilot %s in state %s",
-						kind, d.UID, d.Pilot, p.State())
+				if !p.Live() {
+					return nil, fmt.Errorf("core: %s %s pinned to stopped pilot %s",
+						kind, d.UID, d.Pilot)
 				}
 				return p, nil
 			}
@@ -858,14 +859,14 @@ func pickPilot(pilots []*pilot.Pilot, rt router.Router, kind string, d spec.Task
 	return live[i], nil
 }
 
-// activePilots filters pilots to the ACTIVE subset, as router targets
-// and as pilots (same order) — the one liveness filter every routing
-// path shares.
+// activePilots filters pilots to the live (not stopped) subset, as
+// router targets and as pilots (same order) — the one liveness filter
+// every routing path shares.
 func activePilots(pilots []*pilot.Pilot) ([]router.Target, []*pilot.Pilot) {
 	targets := make([]router.Target, 0, len(pilots))
 	live := make([]*pilot.Pilot, 0, len(pilots))
 	for _, p := range pilots {
-		if p.State() != states.PilotActive {
+		if !p.Live() {
 			continue
 		}
 		targets = append(targets, p)
@@ -920,8 +921,8 @@ func (tm *TaskManager) watch(t *Task, pt *pilot.Task, p *pilot.Pilot) {
 // overflow pool when none is attached, or to failure when no attached
 // pilot's shapes could ever fit it (shape-aware routers reject it the
 // same way they would at submit). A pilot that dies between routing and
-// dispatch just re-enters routing — terminal pilot states keep the
-// retry count bounded by the number of attached pilots.
+// dispatch just re-enters routing — a stopped pilot never comes back, so
+// the retry count is bounded by the number of attached pilots.
 func (tm *TaskManager) requeue(t *Task) { tm.redispatch(t, false) }
 
 // redispatch is requeue's body. With ordered set (the AddPilot drain), it
@@ -1118,6 +1119,10 @@ type Service struct {
 	sbSeq      int
 	promotions int
 	instUID    string
+	// sbSpawning counts standby bootstraps claimed by a fillStandbys call
+	// but not yet in standbys, so concurrent refills (the autoscale tick
+	// and a promotion's background refill) cannot both fill one deficit.
+	sbSpawning int
 }
 
 // UID returns the stable logical service UID — the key clients resolve
@@ -1467,9 +1472,9 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 			sm.mu.Lock()
 			delete(sm.services, d.UID)
 			sm.mu.Unlock()
-			// The routed pilot left ACTIVE between routing and dispatch:
+			// The routed pilot stopped between routing and dispatch:
 			// retry against the survivors, exactly like task submission.
-			if p.State() != states.PilotActive && d.Pilot == "" {
+			if !p.Live() && d.Pilot == "" {
 				continue
 			}
 			return nil, err
@@ -1607,10 +1612,10 @@ func (sm *ServiceManager) watch(h *Service) {
 	}
 }
 
-// replace routes h's description onto a surviving active pilot and
+// replace routes h's description onto a surviving live pilot and
 // re-submits it under the stable UID. A pilot dying between routing and
-// dispatch re-enters routing; terminal pilot states keep the retry count
-// bounded.
+// dispatch re-enters routing; a stopped pilot never comes back, so the
+// retry count stays bounded.
 func (sm *ServiceManager) replace(h *Service) (*service.Instance, *pilot.Pilot, error) {
 	d := h.desc
 	d.UID = h.uid
@@ -1635,7 +1640,7 @@ func (sm *ServiceManager) replace(h *Service) (*service.Instance, *pilot.Pilot, 
 		sm.sess.journalAppend(journal.KindBind, journal.BindBody{Entity: "service", UID: d.UID, Pilot: p.UID()})
 		inst, err := p.Services().Submit(d)
 		if err != nil {
-			if p.State() != states.PilotActive {
+			if !p.Live() {
 				continue
 			}
 			return nil, nil, err

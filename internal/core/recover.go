@@ -131,7 +131,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	survivors := make(map[string]*pilot.Pilot)
 	for _, ps := range snap.Pilots {
 		p, ok := pilot.Lookup(ps.Desc.UID)
-		if ok && p.State() == states.PilotActive {
+		if ok && p.Live() {
 			survivors[ps.Desc.UID] = p
 			rep.PilotsAlive = append(rep.PilotsAlive, ps.Desc.UID)
 		} else {

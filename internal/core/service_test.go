@@ -10,11 +10,13 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/pilot"
 	"repro/internal/platform"
+	"repro/internal/proto"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -415,5 +417,181 @@ func TestServiceTerminateWithdrawsRegistry(t *testing.T) {
 	}
 	if _, _, ok := s.EndpointRegistry().Resolve(h.UID()); ok {
 		t.Fatal("terminated service still resolvable")
+	}
+}
+
+// TestServiceFailoverDuringPilotTeardown is the pilot-liveness
+// regression: Shutdown closes the stop channel, tears the agent down, and
+// only then moves the pilot to DONE. The test parks Shutdown inside that
+// window (in the old instance's teardown callback, after the stop channel
+// closed and the agent's service manager stopped taking submissions) and
+// asserts the watcher re-places the service onto the survivor rather than
+// re-routing onto the dying pilot, failing there, and withdrawing it.
+func TestServiceFailoverDuringPilotTeardown(t *testing.T) {
+	s := newSession(t, 100000)
+	sm := s.ServiceManager()
+	p1, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.AddPilot(p1)
+	sm.AddPilot(p2)
+	h, err := sm.Submit(noopService("svc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sm.WaitReady(ctx, h.UID()); err != nil {
+		t.Fatal(err)
+	}
+	if h.Pilot() != p1.UID() {
+		t.Fatalf("service on %s, want first pilot %s", h.Pilot(), p1.UID())
+	}
+	// A second service advances the round-robin rotation, so a re-route
+	// over both pilots would land back on p1: only the liveness filter
+	// keeps the failover off the dying pilot.
+	other, err := sm.Submit(noopService("other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.WaitReady(ctx, other.UID()); err != nil {
+		t.Fatal(err)
+	}
+	if other.Pilot() != p2.UID() {
+		t.Fatalf("second service on %s, want %s", other.Pilot(), p2.UID())
+	}
+
+	// Re-bind p1's hooks to the session's own, with the service observer
+	// parking the first teardown transition that follows the stop signal.
+	// Service teardown runs synchronously inside Shutdown, so parking it
+	// holds Shutdown between closing stopped and the DONE transition.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	svcState := s.publishState("service")
+	puid := p1.UID()
+	p1.Rebind(pilot.Hooks{
+		PilotState: s.publishState("pilot"),
+		TaskState:  s.publishState("task"),
+		ServiceState: func(uid string, from, to states.State, at time.Time) {
+			select {
+			case <-p1.Stopped():
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+			default:
+			}
+			svcState(uid, from, to, at)
+		},
+		OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
+	})
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- p1.Shutdown() }()
+	<-parked
+	if p1.State() != states.PilotActive {
+		t.Fatalf("pilot left ACTIVE before the parked teardown finished: %s", p1.State())
+	}
+
+	waitReplacements(t, h, 1)
+	if err := sm.WaitReady(ctx, h.UID()); err != nil {
+		t.Fatalf("re-placed service never became ready: %v", err)
+	}
+	if h.Pilot() != p2.UID() {
+		t.Fatalf("re-placed service on %s, want survivor %s", h.Pilot(), p2.UID())
+	}
+	select {
+	case <-h.Done():
+		t.Fatalf("handle settled during failover: %v", h.Err())
+	default:
+	}
+
+	close(release)
+	if err := <-shutdown; err != nil {
+		t.Fatal(err)
+	}
+	if p1.State() != states.PilotDone {
+		t.Fatalf("pilot state %s after Shutdown, want DONE", p1.State())
+	}
+	if h.Pilot() != p2.UID() || h.Replacements() != 1 {
+		t.Fatalf("after teardown: pilot %s, replacements %d; want %s, 1", h.Pilot(), h.Replacements(), p2.UID())
+	}
+}
+
+// TestSessionCloseWaitsForRacingPilotShutdown pins that Session.Close
+// does not return while a concurrent pilot Shutdown (a failure injection)
+// is still tearing the pilot down: the Shutdown that loses the teardown
+// claim waits for the winner, so the network and journal close only after
+// the pilot reached DONE and its callbacks ran.
+func TestSessionCloseWaitsForRacingPilotShutdown(t *testing.T) {
+	s := newSession(t, 100000)
+	sm := s.ServiceManager()
+	p, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.AddPilot(p)
+	h, err := sm.Submit(noopService("svc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sm.WaitReady(ctx, h.UID()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Park the first service teardown transition after the stop signal,
+	// which holds Shutdown between closing stopped and the DONE transition.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	svcState := s.publishState("service")
+	puid := p.UID()
+	p.Rebind(pilot.Hooks{
+		PilotState: s.publishState("pilot"),
+		TaskState:  s.publishState("task"),
+		ServiceState: func(uid string, from, to states.State, at time.Time) {
+			select {
+			case <-p.Stopped():
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+			default:
+			}
+			svcState(uid, from, to, at)
+		},
+		OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
+	})
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- p.Shutdown() }()
+	<-parked
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatalf("Session.Close returned while the pilot was mid-teardown (state %s)", p.State())
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Session.Close did not return after the teardown finished")
+	}
+	if p.State() != states.PilotDone {
+		t.Fatalf("pilot state %s when Session.Close returned, want DONE", p.State())
+	}
+	if err := <-shutdown; err != nil {
+		t.Fatal(err)
 	}
 }

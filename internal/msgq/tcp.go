@@ -16,12 +16,15 @@ import (
 // Pooled, zero-copy TCP REQ/REP transport.
 //
 // The read path pulls length-prefixed binary frames (proto.AppendFrame /
-// proto.DecodeFrame) into sync.Pool-recycled buffers through a buffered
-// reader, and decodes lazily: header fields are parsed in place, the JSON
-// body is retained as a sub-slice of the pooled buffer — no second copy.
-// The write path assembles the frame into a per-connection scratch buffer
-// and issues a single conn.Write per message, with one JSON pass through
-// the envelope's WireBody cache.
+// proto.DecodeFrame, format version 2) into sync.Pool-recycled buffers
+// through a buffered reader, and decodes lazily: header fields are parsed
+// in place, the body is retained as a sub-slice of the pooled buffer — no
+// second copy. The write path assembles the frame into a per-connection
+// scratch buffer and issues a single conn.Write per message. Request and
+// reply payloads travel as binary bodies encoded straight into that
+// buffer, so an inference round trip runs no JSON in either direction;
+// other payloads carry one JSON pass through the envelope's WireBody
+// cache.
 //
 // Buffer ownership rules (see ARCHITECTURE.md Flow 8):
 //   - Server side: the request buffer belongs to the transport. A handler
@@ -61,7 +64,7 @@ type TCPServerOptions struct {
 	// Workers bounds the handler goroutines per connection (default 8).
 	// When every worker is busy and the queue is full, the connection's
 	// read loop blocks — natural TCP backpressure — instead of spawning
-	// unboundedly like the seed transport.
+	// a goroutine per request.
 	Workers int
 	// Inline serves requests on the connection's read loop itself: zero
 	// dispatch overhead, but a blocking handler stalls the whole
@@ -389,8 +392,8 @@ func DialTCP(addr string) (*TCPClient, error) {
 
 // LateReplies reports how many replies arrived for requests that were no
 // longer waiting — cancelled by context, failed at write time, or already
-// completed under a recycled slot generation. The seed transport dropped
-// these silently; the gauge makes the cancel/reply race observable.
+// completed under a recycled slot generation. The gauge makes the
+// cancel/reply race observable.
 func (c *TCPClient) LateReplies() uint64 { return c.late.Load() }
 
 func (c *TCPClient) readErr() error {

@@ -119,6 +119,9 @@ type Pilot struct {
 	// still waiting on a scheduler grant (see runTask).
 	stopped  chan struct{}
 	stopOnce sync.Once
+	// torn is closed by the Shutdown that closed stopped, once the
+	// teardown has finished and the DONE transition's callbacks have run.
+	torn chan struct{}
 
 	// hooks is the live session-side observer set. Machines register
 	// trampolines that read it per event, so Rebind atomically redirects
@@ -222,6 +225,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		desc:    desc,
 		machine: states.NewMachine(desc.UID, states.PilotModel(), cfg.Clock),
 		stopped: make(chan struct{}),
+		torn:    make(chan struct{}),
 		tasks:   make(map[string]*Task),
 	}
 	pilotCB := cfg.PilotStateCallback
@@ -448,6 +452,20 @@ func (p *Pilot) Snapshot() scheduler.Snapshot { return p.sched.Snapshot() }
 // waiting for placement at that point fail with ErrPilotStopped.
 func (p *Pilot) Stopped() <-chan struct{} { return p.stopped }
 
+// Live reports whether the pilot still takes work. It is the single
+// liveness predicate for routing, retry, standby and recovery decisions:
+// Shutdown closes the stopped channel first and moves the state machine
+// to DONE only after tearing the agent down, so a state check would still
+// see ACTIVE on a pilot whose service manager is already closed.
+func (p *Pilot) Live() bool {
+	select {
+	case <-p.stopped:
+		return false
+	default:
+		return true
+	}
+}
+
 // Network returns the message network the pilot is wired to. A recovered
 // session adopts it so reattached services stay reachable at their
 // published addresses.
@@ -644,14 +662,32 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 // Tasks that were queued but never granted resources fail with
 // ErrPilotStopped (the stopped channel closes before the scheduler, so
 // they observe the shutdown rather than wedging on a closed wait pool).
+//
+// Closing stopped claims the teardown: of racing Shutdown calls (a
+// failure injection against a session Close) exactly one tears the agent
+// down. The others wait until it has finished and then report
+// ErrNotActive, so no Shutdown returns while the pilot is still tearing
+// down its services and firing state callbacks.
 func (p *Pilot) Shutdown() error {
 	if p.machine.Current() != states.PilotActive {
+		if !p.Live() {
+			<-p.torn
+		}
 		return fmt.Errorf("%w: %s", ErrNotActive, p.machine.Current())
 	}
 	// Leave the live registry before the stop signal propagates, so a
 	// concurrent Recover cannot adopt a pilot that is mid-teardown.
-	p.detach()
-	p.stopOnce.Do(func() { close(p.stopped) })
+	claimed := false
+	p.stopOnce.Do(func() {
+		claimed = true
+		p.detach()
+		close(p.stopped)
+	})
+	if !claimed {
+		<-p.torn
+		return fmt.Errorf("%w: %s", ErrNotActive, p.machine.Current())
+	}
+	defer close(p.torn)
 	p.svcMgr.Close()
 	p.sched.Close()
 	p.release()

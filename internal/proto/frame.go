@@ -2,21 +2,25 @@ package proto
 
 // Binary framing for the pooled TCP transport.
 //
-// WriteFrame/ReadFrame (proto.go) frame the whole envelope as JSON, which
-// costs two json.Marshal calls per write (body, then envelope) and a fresh
-// allocation plus a full json.Unmarshal per read. The binary frame format
-// here encodes the fixed envelope header fields directly and pays JSON only
-// for the body, exactly once, via the envelope's lazy WireBody cache:
+// A frame encodes the fixed envelope header fields directly, followed by
+// the body. Request and reply payloads carry the binary body layout of
+// body.go, written straight into the frame buffer, so a remote inference
+// round trip runs no JSON in either direction; every other payload
+// carries its JSON body.
 //
 //	u32  payload length N (big endian), N ≤ MaxFrameSize
 //	--- payload, N bytes ---
-//	u8   version (frameVersion)
+//	u8   version (frameVersion = 2)
 //	u8   kind length   | kind bytes
 //	u8   from length   | from bytes
 //	u8   to length     | to bytes
 //	u64  envelope ID (big endian)
 //	i64  sent, unix nanoseconds (big endian; 0 encodes the zero time)
-//	u32  body length B | body bytes (JSON), ending exactly at N
+//	u32  body length B | body bytes, ending exactly at N
+//	     (binary request/reply layout, or JSON for every other payload)
+//
+// Version 1 frames carried JSON request and reply bodies; a peer still
+// speaking them fails the version check with ErrBadFrame.
 //
 // Decoding is zero-copy for the body: DecodeFrame returns an envelope whose
 // Body aliases the payload slice. The caller owns the backing buffer and
@@ -32,12 +36,20 @@ import (
 )
 
 // frameVersion is the binary frame format version byte.
-const frameVersion = 1
+const frameVersion = 2
+
+// MaxFrameSize bounds a single framed message (16 MiB). Larger frames are
+// rejected to protect against corrupt length prefixes.
+const MaxFrameSize = 16 << 20
+
+// ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
+var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum size")
 
 // ErrBadFrame is returned when a binary frame payload is structurally
 // invalid: wrong version, a field length pointing past the payload, or
 // trailing bytes after the body. Corrupt input surfaces as a wrapped
-// ErrBadFrame, never as a panic.
+// ErrBadFrame, never as a panic. Decode reports a malformed binary
+// request or reply body the same way.
 var ErrBadFrame = errors.New("proto: malformed frame")
 
 // frameHeaderMax bounds the string header fields (kind, from, to), which
@@ -45,23 +57,32 @@ var ErrBadFrame = errors.New("proto: malformed frame")
 const frameHeaderMax = 255
 
 // AppendFrame appends env as one length-prefixed binary frame to dst and
-// returns the extended slice. The body JSON is produced once through the
-// envelope's WireBody cache (a lazily-held payload snapshot is marshaled
-// here and cached on env); everything else is encoded directly, so a write
-// costs a single JSON pass. Frames above MaxFrameSize are rejected with
+// returns the extended slice. A lazily-held request or reply snapshot is
+// encoded straight into the frame; any other lazily-held payload is
+// JSON-encoded once through the envelope's WireBody cache. Either way
+// env.Body holds the wire body afterwards — for a binary body, a
+// capacity-clipped view into the returned frame, valid for as long as the
+// frame buffer is. Frames above MaxFrameSize are rejected with
 // ErrFrameTooLarge before anything is appended to the wire.
 func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
-	body, err := env.WireBody()
-	if err != nil {
-		return dst, err
-	}
 	if len(env.Kind) > frameHeaderMax || len(env.From) > frameHeaderMax || len(env.To) > frameHeaderMax {
 		return dst, fmt.Errorf("%w: header field over %d bytes", ErrBadFrame, frameHeaderMax)
+	}
+	bodyLen, direct := 0, false
+	if env.Body == nil && env.typed != nil {
+		bodyLen, direct = binaryBodyLen(env.typed)
+	}
+	if !direct {
+		body, err := env.WireBody()
+		if err != nil {
+			return dst, err
+		}
+		bodyLen = len(body)
 	}
 	payload := 1 + // version
 		1 + len(env.Kind) + 1 + len(env.From) + 1 + len(env.To) +
 		8 + 8 + // id, sent
-		4 + len(body)
+		4 + bodyLen
 	if payload > MaxFrameSize {
 		return dst, ErrFrameTooLarge
 	}
@@ -84,9 +105,14 @@ func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint64(u64[:], uint64(sent))
 	dst = append(dst, u64[:]...)
-	binary.BigEndian.PutUint32(u32[:], uint32(len(body)))
+	binary.BigEndian.PutUint32(u32[:], uint32(bodyLen))
 	dst = append(dst, u32[:]...)
-	dst = append(dst, body...)
+	if !direct {
+		return append(dst, env.Body...), nil
+	}
+	start := len(dst)
+	dst = appendBinaryBody(dst, env.typed)
+	env.Body = dst[start:len(dst):len(dst)]
 	return dst, nil
 }
 
@@ -205,6 +231,9 @@ func DecodeFrameInterned(payload []byte, in *Interner) (Envelope, error) {
 // above MaxFrameSize returns ErrFrameTooLarge without consuming the
 // payload.
 func ReadFramePayload(r io.Reader, buf *[]byte) ([]byte, error) {
+	// hdr escapes through io.Reader: one small allocation per frame.
+	// Reading the prefix into *buf instead saves it, but raised the
+	// rt-tcp benchmark's heap_peak_mb by about 4% (see PERF.md).
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {

@@ -6,11 +6,8 @@
 package proto
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -42,20 +39,22 @@ const (
 // Besides the wire form (Body), an envelope built by NewEnvelope retains
 // its payload value in an unexported field. In-process transports hand the
 // envelope to the receiver by value, so Decode can satisfy matching
-// payload types with a struct copy instead of a JSON parse — the dominant
+// payload types with a struct copy instead of a parse — the dominant
 // per-request CPU and allocation cost on the REQ/REP hot path. For those
 // fast-path payload types Body stays nil until first wire access
-// (WireBody): an envelope that never leaves the address space never pays
-// json.Marshal either. The snapshot field is invisible to encoding/json:
-// an envelope that crosses a real wire (TCP framing) loses it and Decode
-// falls back to the JSON body.
+// (AppendFrame, WireBody): an envelope that never leaves the address space
+// never pays an encode either. An envelope that crosses a real wire (TCP
+// framing) loses the snapshot and Decode falls back to the body.
+//
+// Body is JSON for every payload except InferenceRequest and
+// InferenceReply, which use the binary layout in body.go.
 type Envelope struct {
-	Kind Kind            `json:"kind"`
-	ID   uint64          `json:"id"`           // per-sender sequence number
-	From string          `json:"from"`         // sender UID
-	To   string          `json:"to,omitempty"` // recipient UID (empty: topic/broadcast)
-	Sent time.Time       `json:"sent"`         // clock time at send
-	Body json.RawMessage `json:"body,omitempty"`
+	Kind Kind      // message kind; Decode checks it
+	ID   uint64    // per-sender sequence number
+	From string    // sender UID
+	To   string    // recipient UID (empty: topic/broadcast)
+	Sent time.Time // clock time at send
+	Body []byte    // wire body; nil until encoded for lazily-held payloads
 
 	// typed is the in-process payload snapshot; nil after wire transport
 	// or for payload types without a fast path.
@@ -65,11 +64,11 @@ type Envelope struct {
 // NewEnvelope builds a fresh envelope around body.
 //
 // Fast-path payload types (the value-typed snapshots Decode understands)
-// are kept unencoded: the JSON body materializes lazily on first wire
-// access via WireBody, so an envelope that lives and dies inside one
-// address space never pays json.Marshal at all. All other payloads are
-// encoded eagerly — a pointer or map payload must be snapshotted at send
-// time, before its referents can mutate.
+// are kept unencoded: the wire body materializes lazily on first wire
+// access, so an envelope that lives and dies inside one address space
+// never pays an encode at all. All other payloads are JSON-encoded
+// eagerly — a pointer or map payload must be snapshotted at send time,
+// before its referents can mutate.
 func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any) (Envelope, error) {
 	env := Envelope{Kind: kind, ID: id, From: from, To: to, Sent: sent}
 	switch body.(type) {
@@ -90,12 +89,16 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 	return env, nil
 }
 
-// WireBody returns the envelope's JSON body, encoding the in-process
-// payload snapshot on first wire access. Transports call it before
-// framing or charging size-dependent link costs; in-process deliveries
-// that decode via the typed snapshot never trigger the encode.
-func (e *Envelope) WireBody() (json.RawMessage, error) {
+// WireBody returns the envelope's wire body, encoding the in-process
+// payload snapshot on first access and caching it on e: the binary layout
+// for requests and replies, JSON for everything else. AppendFrame encodes
+// request and reply snapshots straight into the frame instead.
+func (e *Envelope) WireBody() ([]byte, error) {
 	if e.Body == nil && e.typed != nil {
+		if n, ok := binaryBodyLen(e.typed); ok {
+			e.Body = appendBinaryBody(make([]byte, 0, n), e.typed)
+			return e.Body, nil
+		}
 		raw, err := json.Marshal(e.typed)
 		if err != nil {
 			return nil, fmt.Errorf("proto: marshal %s body: %w", e.Kind, err)
@@ -105,9 +108,12 @@ func (e *Envelope) WireBody() (json.RawMessage, error) {
 	return e.Body, nil
 }
 
-// Decode unmarshals the envelope body into out, validating the kind first.
+// Decode fills out from the envelope body, validating the kind first.
 // When the envelope still carries its in-process payload snapshot and out
 // is a pointer to the same payload type, the decode is a plain struct copy.
+// Otherwise *InferenceRequest and *InferenceReply decode from the binary
+// body in body.go (anything else, or a malformed binary body, returns a
+// wrapped ErrBadFrame), and every other payload is parsed as JSON.
 func (e Envelope) Decode(want Kind, out any) error {
 	if e.Kind != want {
 		return fmt.Errorf("proto: decode kind %q as %q", e.Kind, want)
@@ -151,30 +157,47 @@ func (e Envelope) Decode(want Kind, out any) error {
 			}
 		}
 	}
-	raw, err := (&e).WireBody() // lazy body: materialize for the JSON path
+	raw, err := (&e).WireBody() // lazy body: materialize for the wire path
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	switch dst := out.(type) {
+	case *InferenceRequest:
+		return e.bodyError(decodeRequestBody(raw, dst))
+	case *InferenceReply:
+		return e.bodyError(decodeReplyBody(raw, dst))
+	}
+	if isBinaryBody(raw) {
+		return fmt.Errorf("proto: decode %s body: %w: binary body cannot decode into %T", e.Kind, ErrBadFrame, out)
+	}
+	return e.bodyError(json.Unmarshal(raw, out))
+}
+
+func (e Envelope) bodyError(err error) error {
+	if err != nil {
 		return fmt.Errorf("proto: decode %s body: %w", e.Kind, err)
 	}
 	return nil
 }
 
-// EncodedBodyLen returns the length of the envelope's JSON body, encoding
-// a lazily-held payload snapshot just to measure it (the encode result is
-// not cached — the receiver is a value so hot-path callers' envelopes do
-// not escape to the heap). Transports that charge for bandwidth use it;
-// latency-only links never need a size.
+// EncodedBodyLen returns the length of the envelope's wire body. Request
+// and reply snapshots are measured arithmetically without allocating;
+// other lazily-held snapshots are JSON-encoded just to measure them (the
+// result is not cached — the receiver is a value so hot-path callers'
+// envelopes do not escape to the heap). Transports that charge for
+// bandwidth use it; latency-only links never need a size.
 func (e Envelope) EncodedBodyLen() int {
-	if e.Body == nil && e.typed != nil {
-		raw, err := json.Marshal(e.typed)
-		if err != nil {
-			return 0
-		}
-		return len(raw)
+	if e.Body != nil || e.typed == nil {
+		return len(e.Body)
 	}
-	return len(e.Body)
+	if n, ok := binaryBodyLen(e.typed); ok {
+		return n
+	}
+	raw, err := json.Marshal(e.typed)
+	if err != nil {
+		return 0
+	}
+	return len(raw)
 }
 
 // InferenceRequest is the payload of a KindRequest message: one API call
@@ -321,58 +344,4 @@ type StageRequest struct {
 type ErrorBody struct {
 	Origin string `json:"origin"`
 	Msg    string `json:"msg"`
-}
-
-// --- framing -------------------------------------------------------------
-
-// MaxFrameSize bounds a single framed message (16 MiB). Larger frames are
-// rejected to protect against corrupt length prefixes.
-const MaxFrameSize = 16 << 20
-
-// ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
-var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum size")
-
-// WriteFrame writes env as a length-prefixed JSON frame, materializing a
-// lazily-encoded body first (the snapshot does not cross the wire).
-func WriteFrame(w io.Writer, env Envelope) error {
-	if _, err := env.WireBody(); err != nil {
-		return err
-	}
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("proto: marshal envelope: %w", err)
-	}
-	if len(raw) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("proto: write frame header: %w", err)
-	}
-	if _, err := w.Write(raw); err != nil {
-		return fmt.Errorf("proto: write frame body: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed JSON frame.
-func ReadFrame(r io.Reader) (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, err // preserve io.EOF for clean shutdown detection
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return Envelope{}, ErrFrameTooLarge
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return Envelope{}, fmt.Errorf("proto: read frame body: %w", err)
-	}
-	var env Envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return Envelope{}, fmt.Errorf("proto: unmarshal envelope: %w", err)
-	}
-	return env, nil
 }

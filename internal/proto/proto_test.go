@@ -41,11 +41,21 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 }
 
+// TestDecodeBadBody rejects request and reply bodies that are not the
+// binary layout — malformed JSON, well-formed JSON (no peer sends JSON
+// requests or replies) and an empty body — with a wrapped ErrBadFrame.
 func TestDecodeBadBody(t *testing.T) {
-	env := Envelope{Kind: KindRequest, Body: []byte(`{"max_tokens":"nope"}`)}
-	var req InferenceRequest
-	if err := env.Decode(KindRequest, &req); err == nil {
-		t.Fatal("Decode accepted malformed body")
+	for _, body := range []string{`{"max_tokens":"nope"}`, `{"prompt":"hi","max_tokens":16}`, ``} {
+		env := Envelope{Kind: KindRequest, Body: []byte(body)}
+		var req InferenceRequest
+		if err := env.Decode(KindRequest, &req); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("request body %q: %v, want ErrBadFrame", body, err)
+		}
+		env = Envelope{Kind: KindReply, Body: []byte(body)}
+		var rep InferenceReply
+		if err := env.Decode(KindReply, &rep); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("reply body %q: %v, want ErrBadFrame", body, err)
+		}
 	}
 }
 
@@ -74,14 +84,34 @@ func TestTimingDecomposition(t *testing.T) {
 	}
 }
 
+// readEnvelope reads and decodes one binary frame from r.
+func readEnvelope(r io.Reader) (Envelope, error) {
+	var buf []byte
+	payload, err := ReadFramePayload(r, &buf)
+	if err != nil {
+		return Envelope{}, err
+	}
+	return DecodeFrame(payload)
+}
+
+// writeEnvelope appends env to w as one binary frame.
+func writeEnvelope(w *bytes.Buffer, env Envelope) error {
+	frame, err := AppendFrame(nil, &env)
+	if err != nil {
+		return err
+	}
+	w.Write(frame)
+	return nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	env, _ := NewEnvelope(KindHeartbeat, 3, "service.0001", "", t0,
 		Heartbeat{ServiceUID: "service.0001", At: t0, QueueDepth: 4, Busy: true})
-	if err := WriteFrame(&buf, env); err != nil {
+	if err := writeEnvelope(&buf, env); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := readEnvelope(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +131,12 @@ func TestFrameMultipleSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(0); i < 10; i++ {
 		env, _ := NewEnvelope(KindControl, i, "mgr", "svc", t0, Control{Command: CtlPing, Target: "svc"})
-		if err := WriteFrame(&buf, env); err != nil {
+		if err := writeEnvelope(&buf, env); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 10; i++ {
-		env, err := ReadFrame(&buf)
+		env, err := readEnvelope(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +144,7 @@ func TestFrameMultipleSequential(t *testing.T) {
 			t.Fatalf("frame %d read out of order as %d", i, env.ID)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := readEnvelope(&buf); err != io.EOF {
 		t.Fatalf("trailing read err = %v, want io.EOF", err)
 	}
 }
@@ -122,7 +152,7 @@ func TestFrameMultipleSequential(t *testing.T) {
 func TestReadFrameTooLarge(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	_, err := readEnvelope(bytes.NewReader(hdr[:]))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -131,27 +161,33 @@ func TestReadFrameTooLarge(t *testing.T) {
 func TestReadFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
 	env, _ := NewEnvelope(KindPingOrError(), 1, "a", "b", t0, ErrorBody{Origin: "x", Msg: "y"})
-	if err := WriteFrame(&buf, env); err != nil {
+	if err := writeEnvelope(&buf, env); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("ReadFrame accepted truncated body")
+	if _, err := readEnvelope(bytes.NewReader(trunc)); err == nil {
+		t.Fatal("read accepted truncated body")
 	}
 }
 
 // KindPingOrError exists to exercise KindError in tests.
 func KindPingOrError() Kind { return KindError }
 
+// TestReadFrameGarbageJSON frames a structurally valid envelope around a
+// body that is neither JSON nor a binary layout: the frame decodes, the
+// body does not.
 func TestReadFrameGarbageJSON(t *testing.T) {
 	var buf bytes.Buffer
-	body := []byte("{not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("ReadFrame accepted garbage JSON")
+	if err := writeEnvelope(&buf, Envelope{Kind: KindHeartbeat, Body: []byte("{not json")}); err != nil {
+		t.Fatal(err)
+	}
+	env, err := readEnvelope(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hb Heartbeat
+	if err := env.Decode(KindHeartbeat, &hb); err == nil {
+		t.Fatal("Decode accepted garbage JSON")
 	}
 }
 
@@ -162,10 +198,11 @@ func TestFramePropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, env); err != nil {
-			return false
+		if err := writeEnvelope(&buf, env); err != nil {
+			// Header strings have one-byte lengths.
+			return len(from) > frameHeaderMax || len(to) > frameHeaderMax
 		}
-		got, err := ReadFrame(&buf)
+		got, err := readEnvelope(&buf)
 		if err != nil {
 			return false
 		}

@@ -130,6 +130,10 @@ type Instance struct {
 	probeStop chan struct{}
 	killed    bool
 	failErr   error
+	// terminating is claimed by the one Terminate call that tears the
+	// instance down; concurrent callers (a pilot shutdown racing a
+	// session-side teardown) get ErrNotActive.
+	terminating bool
 
 	// bootstrap components (Fig. 3)
 	launchTime  time.Duration
@@ -664,14 +668,16 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownService, uid)
 	}
-	if inst.machine.Current() != states.ServiceActive {
+	inst.mu.Lock()
+	if inst.terminating || inst.machine.Current() != states.ServiceActive {
+		inst.mu.Unlock()
 		return fmt.Errorf("%w: %s in %s", ErrNotActive, uid, inst.machine.Current())
 	}
-	close(inst.probeStop)
-	m.cfg.Registry.Withdraw(uid)
-	inst.mu.Lock()
+	inst.terminating = true
 	srv := inst.server
 	inst.mu.Unlock()
+	close(inst.probeStop)
+	m.cfg.Registry.Withdraw(uid)
 	if drain {
 		if err := inst.machine.To(states.ServiceDraining); err != nil {
 			return err
