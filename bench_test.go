@@ -22,7 +22,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +31,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/platform"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
@@ -230,54 +228,87 @@ func BenchmarkAblationServiceConcurrency(b *testing.B) {
 	}
 }
 
+// skewedView is the load-balancing ablation's candidate set: 8 replicas
+// whose static reported depths rise by 3 per index, every report fresh.
+type skewedView struct{}
+
+func (skewedView) Len() int                { return 8 }
+func (skewedView) Load(i int) (int, int64) { return 3 * i, 1 }
+
+// ablationPickers builds the load-balancing ablation's pickers: the
+// paper's rudimentary rotation, power-of-two-choices with a fixed seed,
+// and the full-scan least-loaded baseline.
+func ablationPickers() []struct {
+	name   string
+	picker loadbal.Picker
+} {
+	return []struct {
+		name   string
+		picker loadbal.Picker
+	}{
+		{"round-robin", loadbal.NewRoundRobin()},
+		{"p2c", loadbal.NewP2C(1)},
+		{"least-loaded", loadbal.NewLeastLoaded()},
+	}
+}
+
+// spreadAfterPick is the imbalance signal of one pick on skewedView: the
+// max-min depth spread once the picked candidate takes the request.
+func spreadAfterPick(picked int) int {
+	v := skewedView{}
+	lo, hi := 1<<30, 0
+	for i := 0; i < v.Len(); i++ {
+		d, _ := v.Load(i)
+		if i == picked {
+			d++
+		}
+		if d < lo {
+			lo = d
+		}
+		if d > hi {
+			hi = d
+		}
+	}
+	return hi - lo
+}
+
 // BenchmarkAblationLoadBalancing compares round-robin (the paper's
-// rudimentary strategy) against least-pending routing on a skewed
-// candidate set.
+// rudimentary strategy) against the load-aware pickers on a skewed
+// candidate set, reporting the mean depth spread a pick leaves behind.
 func BenchmarkAblationLoadBalancing(b *testing.B) {
-	eps := make([]proto.Endpoint, 8)
-	depths := make(map[string]int, 8)
-	var mu sync.Mutex
-	for i := range eps {
-		uid := fmt.Sprintf("service.%04d", i)
-		eps[i] = proto.Endpoint{ServiceUID: uid, Model: "llama-8b"}
-		depths[uid] = i * 3 // skewed initial load
-	}
-	depthFn := func(uid string) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return depths[uid]
-	}
-	balancers := map[string]loadbal.Balancer{
-		"round-robin":   loadbal.NewRoundRobin(),
-		"random":        loadbal.NewRandom(rng.New(1)),
-		"least-pending": loadbal.NewLeastPending(depthFn),
-	}
-	for name, bal := range balancers {
-		b.Run(name, func(b *testing.B) {
+	for _, p := range ablationPickers() {
+		b.Run(p.name, func(b *testing.B) {
 			imbalance := 0
 			for i := 0; i < b.N; i++ {
-				ep, err := bal.Pick(eps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mu.Lock()
-				depths[ep.ServiceUID]++
-				// track max-min spread as the imbalance signal
-				min, max := 1<<30, 0
-				for _, d := range depths {
-					if d < min {
-						min = d
-					}
-					if d > max {
-						max = d
-					}
-				}
-				depths[ep.ServiceUID]-- // undo: keep the scenario static per op
-				mu.Unlock()
-				imbalance += max - min
+				imbalance += spreadAfterPick(p.picker.PickIndex(skewedView{}, 0))
 			}
 			b.ReportMetric(float64(imbalance)/float64(b.N), "spread")
 		})
+	}
+}
+
+// TestAblationLoadBalancingSpreads pins the ablation's contrast on a
+// fixed pick count: least-loaded always takes the idle replica, p2c takes
+// it whenever one of its two seeded probes lands there and never takes
+// the deepest, and rotation visits every replica alike.
+func TestAblationLoadBalancingSpreads(t *testing.T) {
+	const picks = 800
+	want := map[string]float64{"round-robin": 21, "p2c": 20.76875, "least-loaded": 20}
+	got := map[string]float64{}
+	for _, p := range ablationPickers() {
+		sum := 0
+		for i := 0; i < picks; i++ {
+			sum += spreadAfterPick(p.picker.PickIndex(skewedView{}, 0))
+		}
+		got[p.name] = float64(sum) / picks
+	}
+	for name, mean := range want {
+		if got[name] != mean {
+			t.Fatalf("mean spreads over %d picks = %v, want %v", picks, got, want)
+		}
+	}
+	if !(got["least-loaded"] < got["p2c"] && got["p2c"] < got["round-robin"]) {
+		t.Fatalf("spread order = %v, want least-loaded < p2c < round-robin", got)
 	}
 }
 

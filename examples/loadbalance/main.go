@@ -1,8 +1,9 @@
 // Load balancing (paper §IV-E future work): the prototype uses
 // round-robin ("only a rudimentary load balancing"); the future-work
-// strategy reroutes to "less used service instances". This example runs
-// both against a fleet of four llama services under a bursty client and
-// compares the queueing each strategy induces.
+// strategy reroutes to "less used service instances". This example groups
+// a fleet of four llama services into one balancing group of the session
+// EndpointRegistry, drives it with a bursty client through a balanced
+// client per picker, and compares the queueing each strategy induces.
 //
 // The pilot's placement policy is configurable with -sched
 // (strict|backfill|best-fit), threading the scheduler's Policy seam
@@ -31,6 +32,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/router"
 	"repro/internal/scheduler"
+	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
@@ -81,6 +83,7 @@ func run(sched, plat, rt string) error {
 	sm.AddPilot(p)
 
 	const fleet = 4
+	handles := make([]*core.Service, 0, fleet)
 	uids := make([]string, 0, fleet)
 	for i := 0; i < fleet; i++ {
 		inst, err := sm.Submit(spec.ServiceDescription{
@@ -91,6 +94,7 @@ func run(sched, plat, rt string) error {
 		if err != nil {
 			return err
 		}
+		handles = append(handles, inst)
 		uids = append(uids, inst.UID())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -101,15 +105,34 @@ func run(sched, plat, rt string) error {
 	fmt.Printf("fleet of %d llama-8b services ready (scheduling policy: %s, task router: %s)\n",
 		fleet, p.Scheduler().Policy().Name(), sess.TaskManager().RouterName())
 
+	// The first service's registry group lists the rest of the fleet, so
+	// a balanced client of it picks among all four. The client reports
+	// every instance's queue gauges at each arrival — the load signal the
+	// load-aware picker reads.
+	reg := sess.EndpointRegistry()
+	for _, uid := range uids[1:] {
+		reg.AddMember(uids[0], uid)
+	}
+	reportLoads := func() {
+		now := sess.Clock().Now()
+		for _, h := range handles {
+			reg.ReportLoad(h.UID(), service.Load{Queued: h.Queued(), InFlight: h.InFlight(), At: now})
+		}
+	}
+
 	strategies := []struct {
-		name string
-		bal  loadbal.Balancer
+		name   string
+		picker loadbal.Picker
 	}{
 		{"round-robin (paper's rudimentary strategy)", loadbal.NewRoundRobin()},
-		{"least-pending (future-work rerouting)", loadbal.NewLeastPending(sm.QueueDepth)},
+		{"least-loaded (future-work rerouting)", loadbal.NewLeastLoaded()},
 	}
-	for _, s := range strategies {
-		pool, err := sess.Pool(platform.Addr(plat, "", "burst-client"), "llama-8b", s.bal)
+	for k, s := range strategies {
+		// A distinct client address per strategy: request UIDs derive from
+		// it, and a reused UID would be answered from the servers'
+		// completed-request memory instead of being executed.
+		client := platform.Addr(plat, "", fmt.Sprintf("burst-client-%d", k))
+		bal, err := sess.DialBalancedWith(client, uids[0], s.picker)
 		if err != nil {
 			return err
 		}
@@ -121,13 +144,14 @@ func run(sched, plat, rt string) error {
 		for i := 0; i < 16; i++ {
 			wg.Add(1)
 			sess.Clock().Sleep(400 * time.Millisecond) // arrival spacing
+			reportLoads()
 			go func(i int) {
 				defer wg.Done()
 				tokens := 32
 				if i%4 == 0 {
 					tokens = 1024 // long-tail requests
 				}
-				reply, rt, err := pool.Infer(ctx, fmt.Sprintf("burst %d", i), tokens)
+				reply, rt, err := bal.Infer(ctx, fmt.Sprintf("burst %d", i), tokens)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "  request %d: %v\n", i, err)
 					return
@@ -138,7 +162,7 @@ func run(sched, plat, rt string) error {
 			}(i)
 		}
 		wg.Wait()
-		pool.Close()
+		bal.Close()
 		fmt.Printf("%s:\n  queueing %s\n  total RT %s\n",
 			s.name, coll.Stats("queue"), coll.Stats("total"))
 	}

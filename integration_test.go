@@ -102,10 +102,12 @@ func TestHybridLocalRemoteInference(t *testing.T) {
 	}
 }
 
-// TestFailureInjectionWithPoolRerouting kills one of three services
-// mid-stream; the liveness probe withdraws its endpoint and the pool
-// keeps serving from the survivors.
-func TestFailureInjectionWithPoolRerouting(t *testing.T) {
+// TestFailureInjectionWithBalancedRerouting kills one of three services
+// mid-stream. The services form one registry balancing group under a
+// service that survives the kill; the liveness probe fails the victim,
+// the session withdraws it, the withdrawal drops it from the group, and
+// the balanced client serves every later request from the survivors.
+func TestFailureInjectionWithBalancedRerouting(t *testing.T) {
 	sess := newIntSession(t, 100000)
 	p, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
 	if err != nil {
@@ -130,18 +132,30 @@ func TestFailureInjectionWithPoolRerouting(t *testing.T) {
 	if err := sm.WaitReady(ctx, uids...); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := sess.Pool("delta//client", "noop", loadbal.NewRoundRobin())
+	// group the fleet under the last service; the first is the victim
+	reg := sess.EndpointRegistry()
+	reg.AddMember(uids[2], uids[0])
+	reg.AddMember(uids[2], uids[1])
+	bal, err := sess.DialBalancedWith("delta//client", uids[2], loadbal.NewRoundRobin())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
+	defer bal.Close()
 
+	served := map[string]int{}
 	for i := 0; i < 6; i++ {
-		if _, _, err := pool.Infer(ctx, "x", 0); err != nil {
+		reply, _, err := bal.Infer(ctx, "x", 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		served[reply.ServiceUID]++
 	}
-	// kill the first service and wait for the probe to withdraw it
+	for _, uid := range uids {
+		if served[uid] != 2 {
+			t.Fatalf("pre-kill spread = %v, want 2 per service", served)
+		}
+	}
+	// kill the first service and wait for the session to withdraw it
 	victim, _ := sm.Get(uids[0])
 	victim.Kill()
 	deadline := time.Now().Add(5 * time.Second)
@@ -151,16 +165,17 @@ func TestFailureInjectionWithPoolRerouting(t *testing.T) {
 	if got := len(sm.Endpoints("noop")); got != 2 {
 		t.Fatalf("endpoints after kill = %d, want 2", got)
 	}
-	// the pool must keep serving (eviction of the dead connection may cost
-	// one failed attempt, so allow retries)
-	served := 0
-	for i := 0; i < 12 && served < 6; i++ {
-		if _, _, err := pool.Infer(ctx, "x", 0); err == nil {
-			served++
+	// the withdrawal already left the group: every request is served
+	served = map[string]int{}
+	for i := 0; i < 6; i++ {
+		reply, _, err := bal.Infer(ctx, "x", 0)
+		if err != nil {
+			t.Fatalf("post-failure request %d: %v", i, err)
 		}
+		served[reply.ServiceUID]++
 	}
-	if served < 6 {
-		t.Fatalf("only %d/6 post-failure requests served", served)
+	if served[uids[0]] != 0 || served[uids[1]] != 3 || served[uids[2]] != 3 {
+		t.Fatalf("post-failure spread = %v, want 6 of 6 on the two survivors", served)
 	}
 }
 

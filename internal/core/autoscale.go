@@ -22,9 +22,9 @@ import (
 // service UID.
 //
 // Replicas are ordinary pilot-level services named <uid>.rN, routed
-// through the session Router like any service and auto-mirrored into the
+// through the session Router like any service and published into the
 // session EndpointRegistry by the pilot publish hook (handle-less
-// services mirror unconditionally, with the session incarnation
+// services publish unconditionally, with the session incarnation
 // stamped). They are deliberately not journaled: replica count is
 // derived from demand, so after a crash recovery the autoscaler simply
 // re-derives it instead of replaying it.
@@ -121,7 +121,8 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 
 	// Phase 1 — reconcile replica lifecycles. A replica that reached a
 	// final state on its own (hosting pilot died, liveness kill) is
-	// reaped, not re-placed: replica count derives from demand, and the
+	// withdrawn, which also drops it from the balancing group, and not
+	// re-placed: replica count derives from demand, and the
 	// next evaluation re-spawns if the load still warrants it. A
 	// bootstrapped replica is admitted to the balancing group; a drained
 	// one is terminated now that Stop is sleep-free.
@@ -129,9 +130,6 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 	for _, r := range reps {
 		switch {
 		case r.inst.Final():
-			if r.member {
-				sm.reg.RemoveMember(h.uid, r.uid)
-			}
 			sm.reg.Withdraw(r.uid)
 		case r.draining:
 			if r.inst.Queued() == 0 && r.inst.InFlight() == 0 {
@@ -290,9 +288,6 @@ func (sm *ServiceManager) scaleShutdown(h *Service) {
 	h.standbys = nil
 	h.mu.Unlock()
 	for _, r := range reps {
-		if r.member {
-			sm.reg.RemoveMember(h.uid, r.uid)
-		}
 		sm.reg.Withdraw(r.uid)
 		_ = r.p.Services().Terminate(r.uid, false)
 	}
@@ -470,7 +465,7 @@ func (sm *ServiceManager) promoteStandby(h *Service) bool {
 			continue
 		}
 		// Point h at the promoted instance before publishing, so the
-		// mirror guard attributes the new pilot's publications to the
+		// publish guard attributes the new pilot's publications to the
 		// handle and parked resolvers that wake on the publish observe a
 		// consistent handle.
 		h.mu.Lock()

@@ -112,7 +112,6 @@ type Session struct {
 
 	mu       sync.Mutex
 	closed   bool
-	remotes  map[string]proto.Endpoint
 	fastBoot bool
 	schedPol string
 
@@ -159,7 +158,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		net:      net,
 		coll:     metrics.NewCollector(),
 		prof:     profile.NewRecorder(),
-		remotes:  make(map[string]proto.Endpoint),
 		fastBoot: cfg.FastBoot,
 		schedPol: cfg.SchedPolicy,
 
@@ -307,31 +305,13 @@ func (s *Session) publishState(entity string) states.Callback {
 // service endpoint to the session. Remote models "are usually persistent
 // on dedicated resources and do not need to be bootstrapped" (§IV).
 //
-// The registration is also published into the session EndpointRegistry —
-// the single source of endpoint truth — stamped with the session
-// incarnation, so pooled and resolver clients discover remote endpoints
-// through exactly the same generation-stamped lookup as local ones.
+// The registration is published into the session EndpointRegistry — the
+// single source of endpoint truth — stamped with the session incarnation,
+// so resolver and balanced clients discover remote endpoints through
+// exactly the same generation-stamped lookup as local ones.
 func (s *Session) RegisterRemote(ep proto.Endpoint) {
-	s.mu.Lock()
-	s.remotes[ep.ServiceUID] = ep
-	s.mu.Unlock()
 	ep.Incarnation = s.incarnation
 	_, _ = s.sm.reg.Publish(ep)
-}
-
-// RemoteEndpoints returns registered remote endpoints (all models when
-// model is empty).
-func (s *Session) RemoteEndpoints(model string) []proto.Endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []proto.Endpoint
-	for _, ep := range s.remotes {
-		if model == "" || ep.Model == model {
-			out = append(out, ep)
-		}
-	}
-	sortEndpoints(out)
-	return out
 }
 
 // Dial connects a client address to a service endpoint, dispatching on
@@ -343,18 +323,6 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 		return restapi.NewCaller(ep, s.clock)
 	}
 	return service.Dial(s.net, s.clock, clientAddr, ep)
-}
-
-// Pool returns a load-balanced Caller over all live endpoints of model in
-// the session EndpointRegistry — local pilot services arrive there via
-// the publish mirror, remote registrations via RegisterRemote. Every
-// pooled request goes through a per-UID generation-aware resolver, so
-// pool clients survive failover re-publications exactly like DialService
-// clients (the old evict-on-error connection cache is gone).
-func (s *Session) Pool(clientAddr, model string, bal loadbal.Balancer) (*service.Pool, error) {
-	return service.NewPool(s.sm.reg, model, bal, func(ep proto.Endpoint) (service.Caller, error) {
-		return s.Dial(clientAddr, ep)
-	})
 }
 
 // EndpointRegistry returns the session-level endpoint registry: the
@@ -445,14 +413,6 @@ func (s *Session) Abandon() {
 	}
 }
 
-func sortEndpoints(eps []proto.Endpoint) {
-	for i := 1; i < len(eps); i++ {
-		for j := i; j > 0 && eps[j].ServiceUID < eps[j-1].ServiceUID; j-- {
-			eps[j], eps[j-1] = eps[j-1], eps[j]
-		}
-	}
-}
-
 // --- PilotManager -----------------------------------------------------------
 
 // PilotManager acquires and tracks pilots.
@@ -501,13 +461,13 @@ func (pm *PilotManager) Submit(desc spec.PilotDescription) (*pilot.Pilot, error)
 		ServiceStateCallback: pm.sess.publishState("service"),
 		Attach:               pm.sess.jw != nil,
 		Transport:            pm.sess.transport,
-		// Mirror every service endpoint publication into the session
+		// Publish every service endpoint into the session
 		// EndpointRegistry as part of the publish bootstrap phase, so a
 		// ready service is already resolvable session-wide. The pilot UID
 		// identifies the publishing incarnation: a straggling publication
 		// from a pilot the service has already migrated away from is
 		// dropped instead of overwriting the failover re-publication.
-		OnServicePublish: func(ep proto.Endpoint) { pm.sess.sm.mirrorPublish(desc.UID, ep) },
+		OnServicePublish: func(ep proto.Endpoint) { pm.sess.sm.publish(desc.UID, ep) },
 	}
 	if pm.sess.fastBoot {
 		cfg.BootTime = rng.ConstDuration(0)
@@ -1173,13 +1133,6 @@ func (h *Service) Bootstrap() metrics.Breakdown {
 	return metrics.Breakdown{}
 }
 
-// QueueDepth returns the logical service's request queue depth — queued
-// plus executing, summed across the base instance and any serving
-// replicas.
-func (h *Service) QueueDepth() int {
-	return h.Queued() + h.InFlight()
-}
-
 // Queued returns requests admitted but not yet executing, summed across
 // the base instance and any serving replicas — the backlog signal the
 // autoscaler watches.
@@ -1366,25 +1319,22 @@ func (h *Service) WaitReady(ctx context.Context) error {
 	}
 }
 
-// Registry returns the session EndpointRegistry services publish into.
-func (sm *ServiceManager) Registry() *service.EndpointRegistry { return sm.reg }
-
-// mirrorPublish is the pilot publish hook's session half: it mirrors an
-// endpoint publication into the session registry unless the publishing
-// pilot is no longer the service's current host — a bootstrap straggling
-// past its pilot's death must not overwrite the failover re-publication
-// with a dead address. Services without a session handle (submitted
-// directly to a pilot's agent manager) mirror unconditionally.
+// publish is the pilot publish hook's session half: it publishes an
+// endpoint into the session registry unless the publishing pilot is no
+// longer the service's current host — a bootstrap straggling past its
+// pilot's death must not overwrite the failover re-publication with a
+// dead address. Services without a session handle (submitted directly to
+// a pilot's agent manager) publish unconditionally.
 //
 // Like the pilot-side stopped guard this is check-then-act: a straggler
 // publishing in the instant between passing this check and the watcher
-// re-pointing h.p is mirrored anyway, but it is then superseded by the
+// re-pointing h.p is published anyway, but it is then superseded by the
 // failover re-publication's higher generation (resolvers that woke into
 // the dead address retry into the newer one). Across sessions the
 // registry's incarnation fence is airtight: the publication is stamped
 // with the current session incarnation, so after a crash recovery a
 // zombie publisher from the previous incarnation is rejected outright.
-func (sm *ServiceManager) mirrorPublish(pilotUID string, ep proto.Endpoint) {
+func (sm *ServiceManager) publish(pilotUID string, ep proto.Endpoint) {
 	if h, ok := sm.Get(ep.ServiceUID); ok {
 		h.mu.Lock()
 		cur := h.p
@@ -1451,7 +1401,7 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 			return nil, err
 		}
 		// h.p is set before the handle becomes reachable (and before the
-		// bootstrap can publish), so the publish mirror can check the
+		// bootstrap can publish), so the publish guard can check the
 		// publishing incarnation; h.inst stays nil until dispatch returns
 		// and every accessor tolerates that window.
 		h := &Service{
@@ -1632,7 +1582,7 @@ func (sm *ServiceManager) replace(h *Service) (*service.Instance, *pilot.Pilot, 
 				h.uid, pilot.ErrPilotStopped, err)
 		}
 		// Point the handle at the new incarnation before its bootstrap can
-		// publish, so the publish mirror accepts the re-publication (and
+		// publish, so the publish guard accepts the re-publication (and
 		// rejects any straggler from the dead pilot).
 		h.mu.Lock()
 		h.p = p
@@ -1760,28 +1710,11 @@ func (sm *ServiceManager) Services() []*Service {
 	return out
 }
 
-// Endpoints returns every known endpoint for model (local pilots plus
-// remote registrations), in deterministic order.
+// Endpoints returns every live endpoint for model in the session
+// registry (pilot-hosted services and remote registrations), sorted by
+// service UID.
 func (sm *ServiceManager) Endpoints(model string) []proto.Endpoint {
-	sm.mu.Lock()
-	pilots := append([]*pilot.Pilot{}, sm.pilots...)
-	sm.mu.Unlock()
-	var out []proto.Endpoint
-	for _, p := range pilots {
-		out = append(out, p.Registry().ByModel(model)...)
-	}
-	out = append(out, sm.sess.RemoteEndpoints(model)...)
-	sortEndpoints(out)
-	return out
-}
-
-// QueueDepth reports a managed service's live queue depth (remote
-// endpoints report 0: their depth is not observable from the client side).
-func (sm *ServiceManager) QueueDepth(uid string) int {
-	if h, ok := sm.Get(uid); ok {
-		return h.QueueDepth()
-	}
-	return 0
+	return sm.reg.ByModel(model)
 }
 
 // close stops re-placements: handles losing their pilot after session

@@ -165,9 +165,9 @@ func TestServiceManagerRoundRobinAcrossPilots(t *testing.T) {
 	if err := sm.WaitReady(ctx, a.UID(), b.UID()); err != nil {
 		t.Fatal(err)
 	}
-	// one service per pilot registry
-	if len(p1.Registry().All()) != 1 || len(p2.Registry().All()) != 1 {
-		t.Fatalf("distribution = %d/%d, want 1/1", len(p1.Registry().All()), len(p2.Registry().All()))
+	// one service per pilot
+	if n1, n2 := len(p1.Services().List()), len(p2.Services().List()); n1 != 1 || n2 != 1 {
+		t.Fatalf("distribution = %d/%d, want 1/1", n1, n2)
 	}
 }
 
@@ -175,15 +175,16 @@ func TestRemoteEndpointRegistration(t *testing.T) {
 	s := newSession(t, 100000)
 	s.RegisterRemote(proto.Endpoint{ServiceUID: "r3.svc.1", Model: "llama-8b", Address: "r3/r3-node0000/svc.1", Protocol: "msgq"})
 	s.RegisterRemote(proto.Endpoint{ServiceUID: "r3.svc.2", Model: "noop", Address: "r3/r3-node0000/svc.2", Protocol: "msgq"})
-	if got := len(s.RemoteEndpoints("")); got != 2 {
+	if got := len(s.EndpointRegistry().All()); got != 2 {
 		t.Fatalf("all remotes = %d", got)
 	}
-	if got := len(s.RemoteEndpoints("llama-8b")); got != 1 {
-		t.Fatalf("llama remotes = %d", got)
+	// discovery through the ServiceManager
+	eps := s.ServiceManager().Endpoints("llama-8b")
+	if len(eps) != 1 || eps[0].ServiceUID != "r3.svc.1" {
+		t.Fatalf("llama endpoints = %+v", eps)
 	}
-	// merged discovery through the ServiceManager
-	if got := len(s.ServiceManager().Endpoints("llama-8b")); got != 1 {
-		t.Fatalf("merged endpoints = %d", got)
+	if _, gen, ok := s.EndpointRegistry().Resolve("r3.svc.2"); !ok || gen != 1 {
+		t.Fatalf("remote noop resolve gen=%d ok=%v", gen, ok)
 	}
 }
 

@@ -173,7 +173,6 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		net:        net,
 		coll:       metrics.NewCollector(),
 		prof:       profile.NewRecorder(),
-		remotes:    make(map[string]proto.Endpoint),
 		fastBoot:   snap.Session.FastBoot,
 		schedPol:   snap.Session.SchedPolicy,
 		routerName: snap.Session.Router,
@@ -246,8 +245,8 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	}
 
 	// Adopt the survivors: rebind their session-side hooks to this
-	// session's Updater, journal and registry mirror, then attach them to
-	// the managers. Dead pilots are not resurrected — re-acquiring
+	// session's Updater, journal and registry, then attach them to the
+	// managers. Dead pilots are not resurrected — re-acquiring
 	// resources is the operator's call, not Recover's.
 	for _, uid := range rep.PilotsAlive {
 		p := survivors[uid]
@@ -256,7 +255,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 			PilotState:       s.publishState("pilot"),
 			TaskState:        s.publishState("task"),
 			ServiceState:     s.publishState("service"),
-			OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
+			OnServicePublish: func(ep proto.Endpoint) { s.sm.publish(puid, ep) },
 		})
 		s.pm.mu.Lock()
 		s.pm.pilots[uid] = p
@@ -371,12 +370,12 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 				h.mu.Unlock()
 				if ep := inst.Endpoint(); ep.Address != "" {
 					// The instance already published (possibly the very
-					// append the crash ate): re-mirror under the new
+					// append the crash ate): re-publish under the new
 					// incarnation — the restored generation floor makes
 					// this strictly newer than any endpoint a pre-crash
 					// client still holds. An instance caught pre-publish
 					// publishes through its rebound hook instead.
-					s.sm.mirrorPublish(p.UID(), ep)
+					s.sm.publish(p.UID(), ep)
 				}
 				go s.sm.watch(h)
 				rep.ServicesReattached = append(rep.ServicesReattached, uid)

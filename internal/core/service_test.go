@@ -1,7 +1,7 @@
 package core
 
 // Tests for the routed service lifecycle: router-seam placement
-// (pinning, shape-aware selection), the session EndpointRegistry mirror,
+// (pinning, shape-aware selection), publication into the session EndpointRegistry,
 // failure-driven re-placement with atomic re-publication, the
 // pinned-service error path, and client behaviour across a failover
 // (endpoint-caching clients erroring out vs registry-resolving clients
@@ -488,7 +488,7 @@ func TestServiceFailoverDuringPilotTeardown(t *testing.T) {
 			}
 			svcState(uid, from, to, at)
 		},
-		OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
+		OnServicePublish: func(ep proto.Endpoint) { s.sm.publish(puid, ep) },
 	})
 	shutdown := make(chan error, 1)
 	go func() { shutdown <- p1.Shutdown() }()
@@ -565,7 +565,7 @@ func TestSessionCloseWaitsForRacingPilotShutdown(t *testing.T) {
 			}
 			svcState(uid, from, to, at)
 		},
-		OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
+		OnServicePublish: func(ep proto.Endpoint) { s.sm.publish(puid, ep) },
 	})
 	shutdown := make(chan error, 1)
 	go func() { shutdown <- p.Shutdown() }()

@@ -386,6 +386,7 @@ func runRTPoint(ctx context.Context, cfg RTConfig, clients, services int) (RTRow
 // endpoints. GPU models take one GPU each; the NOOP model takes one core.
 func startServices(ctx context.Context, sess *core.Session, svcPilot *pilot.Pilot, cfg RTConfig, services int) ([]proto.Endpoint, error) {
 	mgr := svcPilot.Services()
+	insts := make([]*service.Instance, 0, services)
 	uids := make([]string, 0, services)
 	for i := 0; i < services; i++ {
 		d := spec.ServiceDescription{
@@ -404,18 +405,15 @@ func startServices(ctx context.Context, sess *core.Session, svcPilot *pilot.Pilo
 		if err != nil {
 			return nil, err
 		}
+		insts = append(insts, inst)
 		uids = append(uids, inst.UID())
 	}
 	if err := mgr.WaitReady(ctx, uids...); err != nil {
 		return nil, err
 	}
 	eps := make([]proto.Endpoint, 0, services)
-	for _, uid := range uids {
-		ep, ok := svcPilot.Registry().Lookup(uid)
-		if !ok {
-			return nil, fmt.Errorf("experiments: endpoint of %s not published", uid)
-		}
-		eps = append(eps, ep)
+	for _, inst := range insts {
+		eps = append(eps, inst.Endpoint())
 	}
 	return eps, nil
 }

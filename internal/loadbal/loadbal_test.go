@@ -1,143 +1,105 @@
 package loadbal
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/proto"
-	"repro/internal/rng"
 )
 
-func endpoints(n int) []proto.Endpoint {
-	eps := make([]proto.Endpoint, n)
-	for i := range eps {
-		eps[i] = proto.Endpoint{ServiceUID: fmt.Sprintf("service.%04d", i), Model: "llama-8b"}
-	}
-	return eps
-}
+// depths is a static LoadView: candidate i reports depth d[i], stamped 1,
+// past the minAt of 0 the tests pass, so every report counts as fresh.
+type depths []int
+
+func (d depths) Len() int                { return len(d) }
+func (d depths) Load(i int) (int, int64) { return d[i], 1 }
 
 func TestRoundRobinCycles(t *testing.T) {
 	b := NewRoundRobin()
-	eps := endpoints(3)
+	v := depths{0, 0, 0}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
-			ep, err := b.Pick(eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ep.ServiceUID != eps[i].ServiceUID {
-				t.Fatalf("round %d pick %d = %s", round, i, ep.ServiceUID)
+			if got := b.PickIndex(v, 0); got != i {
+				t.Fatalf("round %d pick %d = %d", round, i, got)
 			}
 		}
 	}
 }
 
+// TestRoundRobinEmpty: degenerate views (no candidate, or one) pick index
+// 0 without advancing the rotation.
 func TestRoundRobinEmpty(t *testing.T) {
 	b := NewRoundRobin()
-	if _, err := b.Pick(nil); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v", err)
+	for _, v := range []depths{nil, {7}} {
+		if got := b.PickIndex(v, 0); got != 0 {
+			t.Fatalf("PickIndex over %d candidates = %d, want 0", v.Len(), got)
+		}
+	}
+	if got := b.PickIndex(depths{0, 0}, 0); got != 0 {
+		t.Fatalf("first pick after degenerate views = %d, want 0", got)
 	}
 }
 
 func TestRoundRobinFairnessProperty(t *testing.T) {
-	// Property: over k*n picks on n endpoints, every endpoint is picked
+	// Property: over k*n picks on n candidates, every candidate is picked
 	// exactly k times.
 	f := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%8) + 1
 		k := int(kRaw%8) + 1
 		b := NewRoundRobin()
-		eps := endpoints(n)
-		counts := map[string]int{}
+		v := make(depths, n)
+		counts := make([]int, n)
 		for i := 0; i < k*n; i++ {
-			ep, err := b.Pick(eps)
-			if err != nil {
-				return false
-			}
-			counts[ep.ServiceUID]++
+			counts[b.PickIndex(v, 0)]++
 		}
 		for _, c := range counts {
 			if c != k {
 				return false
 			}
 		}
-		return len(counts) == n
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRandomCoverage(t *testing.T) {
-	b := NewRandom(rng.New(3))
-	eps := endpoints(4)
-	counts := map[string]int{}
-	for i := 0; i < 4000; i++ {
-		ep, err := b.Pick(eps)
-		if err != nil {
-			t.Fatal(err)
+func TestLeastLoadedPicksShallowest(t *testing.T) {
+	b := NewLeastLoaded()
+	if got := b.PickIndex(depths{5, 1, 3}, 0); got != 1 {
+		t.Fatalf("picked %d, want the shallowest queue (1)", got)
+	}
+}
+
+// TestLeastLoadedEmpty: degenerate views (no candidate, or one) pick
+// index 0 without scanning.
+func TestLeastLoadedEmpty(t *testing.T) {
+	b := NewLeastLoaded()
+	for _, v := range []depths{nil, {7}} {
+		if got := b.PickIndex(v, 0); got != 0 {
+			t.Fatalf("PickIndex over %d candidates = %d, want 0", v.Len(), got)
 		}
-		counts[ep.ServiceUID]++
 	}
-	for uid, c := range counts {
-		if c < 800 || c > 1200 {
-			t.Fatalf("endpoint %s picked %d/4000, want ≈1000", uid, c)
+}
+
+// TestLeastLoadedTieBreakRotates: among equally idle candidates the
+// rotating scan offset spreads consecutive picks over every candidate.
+func TestLeastLoadedTieBreakRotates(t *testing.T) {
+	b := NewLeastLoaded()
+	v := depths{0, 0, 0, 0}
+	for i := 0; i < 8; i++ {
+		if got := b.PickIndex(v, 0); got != i%4 {
+			t.Fatalf("all-ties pick %d = %d, want %d (rotation)", i, got, i%4)
 		}
 	}
 }
 
-func TestRandomEmpty(t *testing.T) {
-	b := NewRandom(rng.New(1))
-	if _, err := b.Pick(nil); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestLeastPendingPicksShallowest(t *testing.T) {
-	depths := map[string]int{
-		"service.0000": 5,
-		"service.0001": 1,
-		"service.0002": 3,
-	}
-	b := NewLeastPending(func(uid string) int { return depths[uid] })
-	ep, err := b.Pick(endpoints(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.ServiceUID != "service.0001" {
-		t.Fatalf("picked %s, want the shallowest queue", ep.ServiceUID)
-	}
-}
-
-func TestLeastPendingTieBreaksAcrossCalls(t *testing.T) {
-	b := NewLeastPending(func(string) int { return 0 })
-	eps := endpoints(4)
-	seen := map[string]bool{}
+func TestLeastLoadedAdaptsToChangingDepths(t *testing.T) {
+	b := NewLeastLoaded()
+	v := depths{0, 0}
+	first := b.PickIndex(v, 0)
+	v[first] = 10
 	for i := 0; i < 4; i++ {
-		ep, _ := b.Pick(eps)
-		seen[ep.ServiceUID] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("all-ties picks concentrated on %d endpoint(s)", len(seen))
-	}
-}
-
-func TestLeastPendingEmpty(t *testing.T) {
-	b := NewLeastPending(func(string) int { return 0 })
-	if _, err := b.Pick(nil); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestLeastPendingAdaptsToChangingDepths(t *testing.T) {
-	depth := map[string]int{"service.0000": 0, "service.0001": 0}
-	b := NewLeastPending(func(uid string) int { return depth[uid] })
-	eps := endpoints(2)
-	first, _ := b.Pick(eps)
-	depth[first.ServiceUID] = 10
-	second, _ := b.Pick(eps)
-	if second.ServiceUID == first.ServiceUID {
-		t.Fatal("balancer kept routing to the loaded instance")
+		if got := b.PickIndex(v, 0); got == first {
+			t.Fatalf("pick %d went back to the loaded candidate %d", i, first)
+		}
 	}
 }

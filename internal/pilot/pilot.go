@@ -49,8 +49,9 @@ type Config struct {
 	// BootTime models the batch system's pilot startup (queue wait
 	// excluded); defaults to N(10s, 2s).
 	BootTime rng.DurationDist
-	// PublishOverhead overrides the endpoint-publication overhead of the
-	// pilot's registry (zero-valued: registry default).
+	// PublishOverhead overrides the Fig. 3 endpoint-publication overhead
+	// of the pilot's service bootstraps (zero-valued:
+	// service.DefaultPublishOverhead).
 	PublishOverhead rng.DurationDist
 	// LaunchModel overrides the platform's launch model (nil: platform
 	// default). Experiment harnesses that do not measure bootstrap use a
@@ -61,10 +62,10 @@ type Config struct {
 	// SchedPolicy, then to strict. Each pilot gets a fresh policy
 	// instance, so backfill starvation state is never shared.
 	SchedPolicy string
-	// OnServicePublish, when set, observes every service endpoint
-	// publication on this pilot (threaded into the agent ServiceManager's
-	// publish phase). The session installs its EndpointRegistry mirror
-	// here so local and re-placed services resolve session-wide.
+	// OnServicePublish, when set, receives every service endpoint this
+	// pilot publishes (at the end of the agent ServiceManager's publish
+	// phase). The session publishes it into its EndpointRegistry, so
+	// local and re-placed services resolve session-wide.
 	OnServicePublish func(proto.Endpoint)
 	// StateCallback, when set, observes every task state transition (the
 	// Updater hook). It also observes pilot transitions when
@@ -90,8 +91,8 @@ type Config struct {
 
 // Hooks is the rebindable set of session-side observers of a pilot. A
 // recovered session calls Rebind to point a surviving pilot's callbacks at
-// the new session's Updater, journal and EndpointRegistry mirror; the
-// machines themselves keep running undisturbed.
+// the new session's Updater, journal and EndpointRegistry; the machines
+// themselves keep running undisturbed.
 type Hooks struct {
 	PilotState       states.Callback
 	TaskState        states.Callback
@@ -113,7 +114,6 @@ type Pilot struct {
 	exec   *executor.Executor
 	stage  *stager.Manager
 	svcMgr *service.Manager
-	reg    *service.Registry
 
 	// stopped is closed when the pilot shuts down, releasing every task
 	// still waiting on a scheduler grant (see runTask).
@@ -134,7 +134,7 @@ type Pilot struct {
 }
 
 // Rebind redirects the pilot's session-side callbacks (state observers and
-// the endpoint-publication mirror) to h. Crash recovery uses it to adopt a
+// the endpoint publication hook) to h. Crash recovery uses it to adopt a
 // surviving pilot into the recovered session.
 func (p *Pilot) Rebind(h Hooks) { p.hooks.Store(&h) }
 
@@ -273,17 +273,16 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	}, scheduler.WithPolicy(policy), scheduler.WithClock(cfg.Clock))
 	p.exec = executor.New(cfg.Clock, cfg.Src.Derive(desc.UID+".exec"), launch)
 	p.stage = stager.NewManager(cfg.Clock, cfg.Src.Derive(desc.UID+".stage"))
-	p.reg = service.NewRegistry(cfg.Clock, cfg.Src.Derive(desc.UID+".reg"), cfg.PublishOverhead)
 	// A publication from a pilot that has already stopped is stale by
 	// definition — the session is (or will be) re-placing the service
-	// elsewhere, and mirroring the dead address could overwrite the
+	// elsewhere, and publishing the dead address could overwrite the
 	// failover re-publication. Drop it at the source. (Best effort: this
 	// is a check-then-act against the stop signal, so a straggler can slip
 	// the instant before shutdown — the session's current-host check
 	// narrows the window further, and the failover re-publication
 	// supersedes anything that still slips both.) The hook indirection
-	// lets a recovered session Rebind the mirror without restarting the
-	// pilot.
+	// lets a recovered session Rebind the publication target without
+	// restarting the pilot.
 	onPublish := func(ep proto.Endpoint) {
 		select {
 		case <-p.stopped:
@@ -295,12 +294,14 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		}
 	}
 	svcMgr, err := service.NewManager(service.Config{
-		Clock: cfg.Clock, Src: cfg.Src.Derive(desc.UID + ".svc"), Net: cfg.Net,
+		Clock: cfg.Clock, Src: cfg.Src, Net: cfg.Net,
 		Sched: p.sched, Router: p.router, Exec: p.exec, Stage: p.stage,
-		Registry: p.reg, OnPublish: onPublish, Stopped: p.stopped,
-		Platform:  cfg.Platform.Name(),
-		UIDPrefix: desc.UID + ".",
-		Transport: cfg.Transport,
+		PublishOverhead: cfg.PublishOverhead,
+		Publish:         onPublish,
+		Stopped:         p.stopped,
+		Platform:        cfg.Platform.Name(),
+		UIDPrefix:       desc.UID + ".",
+		Transport:       cfg.Transport,
 		StateCallback: func(uid string, from, to states.State, at time.Time) {
 			if cb := p.hooks.Load().ServiceState; cb != nil {
 				cb(uid, from, to, at)
@@ -429,9 +430,6 @@ func (p *Pilot) Shapes() []platform.NodeGroup { return platform.ShapesOf(p.nodes
 
 // Services returns the pilot's ServiceManager.
 func (p *Pilot) Services() *service.Manager { return p.svcMgr }
-
-// Registry returns the pilot's endpoint registry.
-func (p *Pilot) Registry() *service.Registry { return p.reg }
 
 // Stage returns the pilot's data manager.
 func (p *Pilot) Stage() *stager.Manager { return p.stage }

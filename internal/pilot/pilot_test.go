@@ -232,8 +232,8 @@ func TestServiceViaPilot(t *testing.T) {
 	if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Registry().Lookup(inst.UID()); !ok {
-		t.Fatal("service endpoint not registered via pilot agent")
+	if ep := inst.Endpoint(); ep.ServiceUID != inst.UID() || ep.Address == "" {
+		t.Fatalf("service endpoint not published via pilot agent: %+v", ep)
 	}
 }
 

@@ -1,14 +1,46 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/loadbal"
+	"repro/internal/metrics"
+	"repro/internal/msgq"
 	"repro/internal/proto"
 )
+
+// scriptCaller is a scripted in-memory backend for balancer tests: it
+// answers with the endpoint identity it was dialed for, optionally parks
+// on a gate before answering, and fails with the transport's
+// endpoint-gone error once its address is marked dead.
+type scriptCaller struct {
+	uid, addr string
+	dead      *atomic.Value // current dead address (string), may be nil
+	gate      chan struct{} // when non-nil, Infer blocks here first
+	entered   chan struct{} // signaled once per Infer before the gate
+}
+
+func (f *scriptCaller) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
+	if f.entered != nil {
+		f.entered <- struct{}{}
+	}
+	if f.gate != nil {
+		<-f.gate
+	}
+	if f.dead != nil {
+		if d, _ := f.dead.Load().(string); d == f.addr {
+			return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("%w: %s", msgq.ErrClosed, f.addr)
+		}
+	}
+	return proto.InferenceReply{ServiceUID: f.uid, Model: "noop", Text: f.addr}, metrics.Breakdown{}, nil
+}
+
+func (f *scriptCaller) Close() error { return nil }
 
 // balReg builds a registry holding base "svc" plus n replica members
 // m1..mn, every endpoint published and admitted to the balancing group.
@@ -24,7 +56,185 @@ func balReg(n int) *EndpointRegistry {
 }
 
 func balDial(ep proto.Endpoint) (Caller, error) {
-	return &poolCaller{uid: ep.ServiceUID, addr: ep.Address}, nil
+	return &scriptCaller{uid: ep.ServiceUID, addr: ep.Address}, nil
+}
+
+// inferN sends n requests through b and counts the serving UIDs.
+func inferN(t *testing.T, b *Balancer, n int) map[string]int {
+	t.Helper()
+	served := map[string]int{}
+	for i := 0; i < n; i++ {
+		reply, _, err := b.Infer(context.Background(), "x", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[reply.ServiceUID]++
+	}
+	return served
+}
+
+func TestBalancerValidation(t *testing.T) {
+	if _, err := NewBalancer(nil, "svc", balDial, BalancerOptions{}); err == nil {
+		t.Fatal("NewBalancer accepted a nil registry")
+	}
+	if _, err := NewBalancer(NewEndpointRegistry(), "svc", nil, BalancerOptions{}); err == nil {
+		t.Fatal("NewBalancer accepted a nil dial function")
+	}
+}
+
+func TestBalancerRoundRobinAcrossMembers(t *testing.T) {
+	reg := balReg(2)
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	served := inferN(t, b, 9)
+	if len(served) != 3 || served["svc"] != 3 || served["m1"] != 3 || served["m2"] != 3 {
+		t.Fatalf("served = %v, want 3 each (round robin)", served)
+	}
+}
+
+// TestBalancerPicksUpNewMembers: a member added to the registry group
+// after the client was built is picked without re-creating the client.
+func TestBalancerPicksUpNewMembers(t *testing.T) {
+	reg := balReg(0)
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if served := inferN(t, b, 1); served["svc"] != 1 {
+		t.Fatalf("served = %v before the join, want svc", served)
+	}
+	reg.Publish(ep("b", "addr-b"))
+	reg.AddMember("svc", "b")
+	if served := inferN(t, b, 8); served["svc"] != 4 || served["b"] != 4 {
+		t.Fatalf("served = %v after the join, want 4/4", served)
+	}
+}
+
+// TestBalancerFollowsWithdrawal: withdrawing a member drops it from the
+// group, so every later request lands on the survivors.
+func TestBalancerFollowsWithdrawal(t *testing.T) {
+	reg := balReg(1)
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if served := inferN(t, b, 2); served["svc"] != 1 || served["m1"] != 1 {
+		t.Fatalf("served = %v, want both members warm", served)
+	}
+	reg.Withdraw("m1")
+	if served := inferN(t, b, 4); served["svc"] != 4 {
+		t.Fatalf("served = %v after withdrawing m1, want all on svc", served)
+	}
+}
+
+// TestBalancerLeastLoadedPrefersIdleMember: with the busy instance first
+// in the group, a load-blind first pick would choose it; the least-loaded
+// picker reads the reports and routes to the idle member.
+func TestBalancerLeastLoadedPrefersIdleMember(t *testing.T) {
+	reg := balReg(1)
+	now := time.Unix(1000, 0)
+	reg.ReportLoad("svc", Load{Queued: 4, At: now})
+	reg.ReportLoad("m1", Load{At: now})
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
+		Picker: loadbal.NewLeastLoaded(),
+		Now:    func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if served := inferN(t, b, 1); served["m1"] != 1 {
+		t.Fatalf("served = %v, want the idle member m1", served)
+	}
+}
+
+// TestBalancerRepublicationDuringInFlightError pins the evict-on-error
+// race that generation-aware member resolvers rule out: a request in
+// flight against generation G errors after the endpoint was already
+// republished at G+1 and a fresh connection to G+1 was warmed by another
+// request. Evicting cached connections by UID on any error would tear
+// down the healthy G+1 connection and force a third dial.
+func TestBalancerRepublicationDuringInFlightError(t *testing.T) {
+	reg := NewEndpointRegistry()
+	var dead atomic.Value
+	dead.Store("")
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var dials atomic.Int64
+	dial := func(e proto.Endpoint) (Caller, error) {
+		n := dials.Add(1)
+		c := &scriptCaller{uid: e.ServiceUID, addr: e.Address, dead: &dead}
+		if n == 1 {
+			// only the first (generation-1) connection parks on the gate
+			c.gate, c.entered = gate, entered
+		}
+		return c, nil
+	}
+	b, err := NewBalancer(reg, "svc", dial, BalancerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	reg.Publish(ep("svc", "gen1-addr"))
+	req1 := make(chan error, 1)
+	go func() {
+		_, _, err := b.Infer(context.Background(), "x", 0)
+		req1 <- err
+	}()
+	<-entered // request 1 is in flight against the generation-1 connection
+
+	// failover: generation 1 dies, generation 2 is republished, and a
+	// second request warms the generation-2 connection (dial #2)
+	dead.Store("gen1-addr")
+	reg.Suspend("svc")
+	reg.Publish(ep("svc", "gen2-addr"))
+	reply, _, err := b.Infer(context.Background(), "x", 0)
+	if err != nil || reply.Text != "gen2-addr" {
+		t.Fatalf("post-republish infer = %q err %v", reply.Text, err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d after warming generation 2, want 2", n)
+	}
+
+	// request 1's error finally lands, carrying generation 1: the
+	// resolver must retry on the cached generation-2 connection, not
+	// evict it
+	close(gate)
+	select {
+	case err := <-req1:
+		if err != nil {
+			t.Fatalf("in-flight request did not fail over: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight request never settled")
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d after the stale error, want 2 (gen-2 connection evicted?)", n)
+	}
+	// and the client keeps serving on the surviving connection
+	if _, _, err := b.Infer(context.Background(), "x", 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d after follow-up request, want 2", n)
+	}
+}
+
+func TestBalancerClosedRejects(t *testing.T) {
+	b, err := NewBalancer(balReg(1), "svc", balDial, BalancerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = b.Close()
+	if _, _, err := b.Infer(context.Background(), "x", 0); err == nil {
+		t.Fatal("Infer succeeded on a closed balancer")
+	}
 }
 
 func TestBalancerNoMembersPicksBase(t *testing.T) {

@@ -14,6 +14,17 @@ import (
 	"repro/internal/simtime"
 )
 
+// Caller is the client-side inference interface, satisfied by the msgq
+// Client, the REST client adapter, the Resolver and the Balancer. Client
+// tasks program against Caller, so local and remote model instances are
+// interchangeable — the interoperability §III requires.
+type Caller interface {
+	// Infer performs one synchronous inference and returns the reply and
+	// the RT breakdown (communication / service / inference).
+	Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error)
+	Close() error
+}
+
 // Client is the task-side view of one service: it sends inference requests
 // through the service's published endpoint and decomposes each response
 // time into the paper's communication / service / inference components.

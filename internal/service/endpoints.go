@@ -37,11 +37,11 @@ const (
 // under the registry lock — it must not call back into the registry.
 type EndpointObserver func(op EndpointOp, uid string, ep proto.Endpoint, gen uint64)
 
-// EndpointRegistry is the session-level endpoint registry — the authority
-// clients resolve a stable service UID against instead of caching a raw
-// endpoint. Where the per-pilot Registry models the paper's publication
-// channel (and charges the Fig. 3 `publish` overhead), the
-// EndpointRegistry owns the session-wide mapping that survives the pilot:
+// EndpointRegistry is the session's endpoint registry — the information
+// channel of the paper's Fig. 2 (6) and the one authority clients resolve
+// a stable service UID against instead of caching a raw endpoint. Pilot
+// agents publish into it at the end of each service bootstrap, and
+// remote registrations land here too. The mapping survives the pilot:
 // every publication carries a monotonically increasing generation per
 // service UID, so a client holding generation g detects staleness the
 // moment Resolve returns g' > g and re-resolves instead of redialing a
@@ -50,12 +50,12 @@ type EndpointObserver func(op EndpointOp, uid string, ep proto.Endpoint, gen uin
 // Lifecycle of one entry: Publish (live, gen+1) → Suspend (endpoint
 // retained, not resolvable — the hosting pilot died and a re-placement is
 // in flight) → Publish (live again, gen+1) → … → Withdraw (tombstoned;
-// Await* fail with ErrWithdrawn).
+// Await* fail with ErrWithdrawn, and the UID leaves its balancing group).
 //
-// The registry is purely synchronization and bookkeeping: publication
-// overhead is charged where the endpoint is physically published (the
-// pilot registry), never here, which keeps every method safe to call from
-// any goroutine without touching the session clock.
+// The registry is purely synchronization and bookkeeping: the Fig. 3
+// publication overhead is charged by the publishing agent's bootstrap,
+// never here, which keeps every method safe to call from any goroutine
+// without touching the session clock.
 type EndpointRegistry struct {
 	mu      sync.Mutex
 	entries map[string]*endpointEntry
@@ -77,9 +77,10 @@ type endpointEntry struct {
 	// them. Membership is routing state, not a publication: it does not
 	// move the generation.
 	members []string
-	// load is the endpoint's last reported load gauge pair.
-	load Load
-	// depth and loadAt are the lock-free mirrors of load: total depth
+	// memberOf is the logical group UID this entry is a member of (empty
+	// when it is in none); Withdraw uses it to leave the group.
+	memberOf string
+	// depth and loadAt are the last load report: total depth
 	// (queued+in-flight) and the report stamp in nanoseconds. Balancing
 	// pickers read them on the request hot path without taking r.mu.
 	depth  atomic.Int64
@@ -105,11 +106,6 @@ type Load struct {
 	Queued   int       // admitted, waiting for a worker
 	InFlight int       // currently executing
 	At       time.Time // session-clock stamp of the observation
-}
-
-// LoadFromReport converts the wire form into the registry's gauge record.
-func LoadFromReport(lr proto.LoadReport) Load {
-	return Load{Queued: lr.Queued, InFlight: lr.InFlight, At: lr.At}
 }
 
 // GroupView is the immutable balancing view of one logical service UID:
@@ -241,7 +237,8 @@ func (r *EndpointRegistry) Suspend(uid string) {
 
 // Withdraw tombstones a service UID: the service is gone for good and no
 // re-publication will follow. Parked waiters wake and fail with
-// ErrWithdrawn.
+// ErrWithdrawn, and the UID leaves the balancing group it is a member of,
+// so balanced clients stop picking it.
 func (r *EndpointRegistry) Withdraw(uid string) {
 	r.mu.Lock()
 	e := r.entries[uid]
@@ -251,6 +248,9 @@ func (r *EndpointRegistry) Withdraw(uid string) {
 	}
 	e.live = false
 	e.withdrawn = true
+	if e.memberOf != "" {
+		r.removeMemberLocked(e.memberOf, uid)
+	}
 	r.wakeLocked(e)
 	if r.observer != nil {
 		r.observer(EndpointWithdraw, uid, e.ep, e.gen)
@@ -368,6 +368,7 @@ func (r *EndpointRegistry) AddMember(group, member string) {
 	}
 	e.members = append(e.members, member)
 	r.rebuildGroupLocked(group, e)
+	r.entries[member].memberOf = group
 	r.mu.Unlock()
 }
 
@@ -375,16 +376,27 @@ func (r *EndpointRegistry) AddMember(group, member string) {
 // absent member is a no-op.
 func (r *EndpointRegistry) RemoveMember(group, member string) {
 	r.mu.Lock()
-	if e := r.entries[group]; e != nil {
-		for i, m := range e.members {
-			if m == member {
-				e.members = append(e.members[:i], e.members[i+1:]...)
-				r.rebuildGroupLocked(group, e)
-				break
+	r.removeMemberLocked(group, member)
+	r.mu.Unlock()
+}
+
+// removeMemberLocked drops member from group and swaps in the shrunk
+// view. Caller holds r.mu.
+func (r *EndpointRegistry) removeMemberLocked(group, member string) {
+	e := r.entries[group]
+	if e == nil {
+		return
+	}
+	for i, m := range e.members {
+		if m == member {
+			e.members = append(e.members[:i], e.members[i+1:]...)
+			r.rebuildGroupLocked(group, e)
+			if me := r.entries[member]; me.memberOf == group {
+				me.memberOf = ""
 			}
+			return
 		}
 	}
-	r.mu.Unlock()
 }
 
 // rebuildGroupLocked swaps in a fresh immutable balancing view for the
@@ -428,46 +440,17 @@ func (r *EndpointRegistry) groupEntry(uid string) *endpointEntry {
 	return e
 }
 
-// Members returns the replica UIDs grouped under the logical UID, in
-// membership order (nil when the group has none — the common, unscaled
-// case). The base UID itself is not listed; balancing clients treat the
-// group as base plus members.
-func (r *EndpointRegistry) Members(group string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entries[group]
-	if e == nil || len(e.members) == 0 {
-		return nil
-	}
-	out := make([]string, len(e.members))
-	copy(out, e.members)
-	return out
-}
-
 // ReportLoad records uid's latest load gauges. Reports for unknown UIDs
 // are dropped — a retired replica's straggling report must not
-// resurrect its entry. Besides the locked record (LoadOf), the report is
-// mirrored into the entry's atomic depth/stamp pair so balancing pickers
-// read it lock-free.
+// resurrect its entry. The report lands in the entry's atomic
+// depth/stamp pair so balancing pickers read it lock-free.
 func (r *EndpointRegistry) ReportLoad(uid string, l Load) {
 	r.mu.Lock()
 	if e := r.entries[uid]; e != nil {
-		e.load = l
 		e.depth.Store(int64(l.Queued + l.InFlight))
 		e.loadAt.Store(l.At.UnixNano())
 	}
 	r.mu.Unlock()
-}
-
-// LoadOf returns uid's last reported load gauges (zero when never
-// reported or unknown).
-func (r *EndpointRegistry) LoadOf(uid string) Load {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.entries[uid]; e != nil {
-		return e.load
-	}
-	return Load{}
 }
 
 func (r *EndpointRegistry) await(ctx context.Context, uid string, after uint64) (proto.Endpoint, uint64, error) {

@@ -464,3 +464,70 @@ func TestEndpointRegistryObserverAndRestore(t *testing.T) {
 		t.Fatalf("await on restored tombstone err = %v, want ErrWithdrawn", err)
 	}
 }
+
+// groupUIDs returns the group's current balancing view as UIDs, base
+// first.
+func groupUIDs(r *EndpointRegistry, group string) []string {
+	view := r.groupEntry(group).group.Load()
+	if view == nil {
+		return []string{group}
+	}
+	out := make([]string, view.Len())
+	for i := range out {
+		out[i] = view.UID(i)
+	}
+	return out
+}
+
+// TestEndpointRegistryWithdrawLeavesGroup: a withdrawn member leaves its
+// balancing group through the same view swap RemoveMember uses, so a
+// balanced client stops picking it; withdrawing a UID that is in no
+// group, or withdrawing twice, leaves the view alone.
+func TestEndpointRegistryWithdrawLeavesGroup(t *testing.T) {
+	cases := []struct {
+		name     string
+		withdraw []string
+		want     []string
+	}{
+		{"first member", []string{"m1"}, []string{"svc", "m2", "m3"}},
+		{"middle member", []string{"m2"}, []string{"svc", "m1", "m3"}},
+		{"last member", []string{"m3"}, []string{"svc", "m1", "m2"}},
+		{"two members", []string{"m3", "m1"}, []string{"svc", "m2"}},
+		{"twice", []string{"m2", "m2"}, []string{"svc", "m1", "m3"}},
+		{"non-member", []string{"loner"}, []string{"svc", "m1", "m2", "m3"}},
+		{"unknown uid", []string{"nobody"}, []string{"svc", "m1", "m2", "m3"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := balReg(3)
+			r.Publish(ep("loner", "addr-loner"))
+			before := r.groupEntry("svc").group.Load()
+			for _, uid := range tc.withdraw {
+				r.Withdraw(uid)
+			}
+			got := groupUIDs(r, "svc")
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("group after withdrawing %v = %v, want %v", tc.withdraw, got, tc.want)
+			}
+			if len(tc.want) == 4 && r.groupEntry("svc").group.Load() != before {
+				t.Fatal("a withdrawal that changed no membership swapped the view")
+			}
+			if before.Len() != 4 {
+				t.Fatalf("a held view changed under a withdrawal: len %d, want 4", before.Len())
+			}
+		})
+	}
+
+	// A withdrawn member that is re-added joins at the end, and a later
+	// withdrawal removes it again.
+	r := balReg(2)
+	r.Withdraw("m1")
+	r.AddMember("svc", "m1")
+	if got := fmt.Sprint(groupUIDs(r, "svc")); got != "[svc m2 m1]" {
+		t.Fatalf("group after re-adding m1 = %s", got)
+	}
+	r.Withdraw("m1")
+	if got := fmt.Sprint(groupUIDs(r, "svc")); got != "[svc m2]" {
+		t.Fatalf("group after withdrawing the re-added m1 = %s", got)
+	}
+}

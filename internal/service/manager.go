@@ -42,22 +42,27 @@ var (
 
 // Config wires a Manager into a pilot agent.
 type Config struct {
-	Clock    simtime.Clock
-	Src      *rng.Source
-	Net      *msgq.Network
-	Sched    *scheduler.Scheduler
-	Router   *scheduler.Router
-	Exec     *executor.Executor
-	Stage    *stager.Manager
-	Registry *Registry
-	// OnPublish, when set, observes every endpoint publication as part of
-	// the publish bootstrap phase — after the endpoint lands in the pilot
-	// Registry and strictly before the service turns ACTIVE. The session
-	// hooks its EndpointRegistry mirror here, so a service that reports
-	// ready is already resolvable session-wide (and a failover
-	// re-bootstrap re-publishes with a bumped generation atomically with
-	// the new instance's activation).
-	OnPublish func(proto.Endpoint)
+	Clock simtime.Clock
+	// Src is the hosting pilot's stream. The manager derives the streams
+	// of its services ("<UIDPrefix>svc") and of the Fig. 3 publish
+	// overhead ("<UIDPrefix>reg") from it.
+	Src    *rng.Source
+	Net    *msgq.Network
+	Sched  *scheduler.Scheduler
+	Router *scheduler.Router
+	Exec   *executor.Executor
+	Stage  *stager.Manager
+	// PublishOverhead is the Fig. 3 `publish` bootstrap component, the
+	// time to communicate an endpoint to the client side (zero-valued:
+	// DefaultPublishOverhead).
+	PublishOverhead rng.DurationDist
+	// Publish, when set, receives every endpoint at the end of the
+	// publish bootstrap phase, strictly before the service turns ACTIVE.
+	// The pilot routes it to the session's EndpointRegistry, so a service
+	// that reports ready is already resolvable session-wide (and a
+	// failover re-bootstrap re-publishes with a bumped generation
+	// atomically with the new instance's activation).
+	Publish func(proto.Endpoint)
 	// Stopped, when set, is closed when the hosting pilot shuts down.
 	// Services still waiting for placement observe it and fail fast with
 	// ErrHostStopped instead of sitting out their start timeout on a dead
@@ -88,10 +93,19 @@ type Config struct {
 	Transport string
 }
 
+// DefaultPublishOverhead matches Fig. 3: publish stays in the
+// sub-second band, under the ~2s launch time.
+func DefaultPublishOverhead() rng.DurationDist {
+	return rng.NormalDuration(400*time.Millisecond, 120*time.Millisecond)
+}
+
 // Manager is the ServiceManager: it owns the lifecycle of every service
 // task on one pilot.
 type Manager struct {
 	cfg Config
+	// src seeds each service's model and server streams; pubSrc draws
+	// the publish overhead.
+	src, pubSrc *rng.Source
 
 	mu       sync.Mutex
 	seq      int
@@ -102,8 +116,11 @@ type Manager struct {
 // NewManager validates cfg and returns an empty Manager.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Clock == nil || cfg.Src == nil || cfg.Net == nil || cfg.Sched == nil ||
-		cfg.Router == nil || cfg.Exec == nil || cfg.Registry == nil {
+		cfg.Router == nil || cfg.Exec == nil {
 		return nil, errors.New("service: incomplete manager config")
+	}
+	if cfg.PublishOverhead.IsZero() {
+		cfg.PublishOverhead = DefaultPublishOverhead()
 	}
 	if cfg.DefaultProbeInterval <= 0 {
 		cfg.DefaultProbeInterval = 5 * time.Second
@@ -111,7 +128,12 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.DefaultStartTimeout <= 0 {
 		cfg.DefaultStartTimeout = 10 * time.Minute
 	}
-	return &Manager{cfg: cfg, services: make(map[string]*Instance)}, nil
+	return &Manager{
+		cfg:      cfg,
+		src:      cfg.Src.Derive(cfg.UIDPrefix + "svc"),
+		pubSrc:   cfg.Src.Derive(cfg.UIDPrefix + "reg"),
+		services: make(map[string]*Instance),
+	}, nil
 }
 
 // Instance is one managed service task.
@@ -262,7 +284,7 @@ func (s *Instance) Kill() {
 
 // Submit validates d, assigns a UID, and starts the service bootstrap
 // asynchronously. The returned Instance progresses through the service
-// state model; use Manager.WaitReady or the Registry to gate on readiness.
+// state model; use Manager.WaitReady to gate on readiness.
 func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -346,7 +368,6 @@ func (m *Manager) bootstrap(inst *Instance) {
 		if alloc != nil {
 			alloc.Release()
 		}
-		m.cfg.Registry.Withdraw(inst.UID())
 	}
 
 	d := inst.desc
@@ -453,9 +474,9 @@ func (m *Manager) bootstrap(inst *Instance) {
 	}
 	server, err := serving.New(serving.Config{
 		UID:         d.UID,
-		Backend:     serving.LLMBackend{M: llm.NewInstance(spec_, m.cfg.Clock, m.cfg.Src.Derive(d.UID+".model"))},
+		Backend:     serving.LLMBackend{M: llm.NewInstance(spec_, m.cfg.Clock, m.src.Derive(d.UID+".model"))},
 		Clock:       m.cfg.Clock,
-		Src:         m.cfg.Src.Derive(d.UID + ".server"),
+		Src:         m.src.Derive(d.UID + ".server"),
 		Concurrency: d.Concurrency,
 		QueueCap:    d.QueueCap,
 		MaxBatch:    d.MaxBatch,
@@ -495,18 +516,21 @@ func (m *Manager) bootstrap(inst *Instance) {
 		fail(err)
 		return
 	}
+	publishDur := m.cfg.PublishOverhead.Sample(m.pubSrc)
+	if publishDur > 0 {
+		m.cfg.Clock.Sleep(publishDur)
+	}
 	// Publish the server's own address: identical to the logical addr on
 	// the in-process transport, "tcp://host:port" over TCP so the endpoint
 	// is dialable from other processes.
-	publishDur := m.cfg.Registry.Publish(proto.Endpoint{
-		ServiceUID: d.UID,
-		Model:      d.Model,
-		Address:    apiSrv.Addr(),
-		Protocol:   "msgq",
-		Node:       node,
-	})
-
-	ep, _ := m.cfg.Registry.Lookup(d.UID)
+	ep := proto.Endpoint{
+		ServiceUID:  d.UID,
+		Model:       d.Model,
+		Address:     apiSrv.Addr(),
+		Protocol:    "msgq",
+		Node:        node,
+		PublishedAt: m.cfg.Clock.Now(),
+	}
 	inst.mu.Lock()
 	inst.server = server
 	inst.apiSrv = apiSrv
@@ -516,8 +540,8 @@ func (m *Manager) bootstrap(inst *Instance) {
 	inst.publishTime = publishDur
 	inst.endpoint = ep
 	inst.mu.Unlock()
-	if m.cfg.OnPublish != nil {
-		m.cfg.OnPublish(ep)
+	if m.cfg.Publish != nil {
+		m.cfg.Publish(ep)
 	}
 
 	if err := inst.machine.To(states.ServiceActive); err != nil {
@@ -569,7 +593,7 @@ func (m *Manager) controlHandler(inst *Instance) msgq.Handler {
 }
 
 // probeLoop performs periodic liveness checks; two consecutive failed
-// probes mark the service FAILED and withdraw its endpoint.
+// probes mark the service FAILED (the session withdraws its endpoint).
 func (m *Manager) probeLoop(inst *Instance) {
 	ticker := m.cfg.Clock.NewTicker(inst.desc.ProbeInterval)
 	inst.mu.Lock()
@@ -597,7 +621,6 @@ func (m *Manager) probeLoop(inst *Instance) {
 					inst.failErr = errors.New("service: liveness probe failed")
 					inst.mu.Unlock()
 					_ = inst.machine.Fail()
-					m.cfg.Registry.Withdraw(inst.UID())
 					m.teardown(inst)
 				}
 				return
@@ -677,7 +700,6 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 	srv := inst.server
 	inst.mu.Unlock()
 	close(inst.probeStop)
-	m.cfg.Registry.Withdraw(uid)
 	if drain {
 		if err := inst.machine.To(states.ServiceDraining); err != nil {
 			return err

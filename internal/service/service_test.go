@@ -30,7 +30,7 @@ type rig struct {
 	sched *scheduler.Scheduler
 	rtr   *scheduler.Router
 	exec  *executor.Executor
-	reg   *Registry
+	reg   *EndpointRegistry
 	mgr   *Manager
 	plat  *platform.Platform
 }
@@ -45,11 +45,12 @@ func newRig(t *testing.T, scale float64) *rig {
 	rtr := scheduler.NewRouter()
 	sched := scheduler.New(plat.Nodes(), func(p scheduler.Placement) { rtr.Route(p) })
 	exec := executor.New(clock, src.Derive("exec"), plat.Launch)
-	reg := NewRegistry(clock, src.Derive("reg"), rng.DurationDist{})
+	reg := NewEndpointRegistry()
 	mgr, err := NewManager(Config{
 		Clock: clock, Src: src.Derive("mgr"), Net: net,
 		Sched: sched, Router: rtr, Exec: exec,
-		Stage: stager.NewManager(clock, src.Derive("stage")), Registry: reg,
+		Stage:    stager.NewManager(clock, src.Derive("stage")),
+		Publish:  func(ep proto.Endpoint) { _, _ = reg.Publish(ep) },
 		Platform: plat.Name(),
 	})
 	if err != nil {
@@ -120,8 +121,8 @@ func TestServiceBootstrapLifecycle(t *testing.T) {
 	if ep.Model != "llama-8b" || ep.Address == "" || ep.Node == "" {
 		t.Fatalf("endpoint = %+v", ep)
 	}
-	if _, ok := r.reg.Lookup(inst.UID()); !ok {
-		t.Fatal("endpoint not in registry")
+	if got, _, ok := r.reg.Resolve(inst.UID()); !ok || got.Address != ep.Address {
+		t.Fatalf("published endpoint = %+v/%v, want %+v", got, ok, ep)
 	}
 }
 
@@ -292,9 +293,6 @@ func TestTerminateDrain(t *testing.T) {
 	if inst.State() != states.ServiceDone {
 		t.Fatalf("state after drain = %s", inst.State())
 	}
-	if _, ok := r.reg.Lookup(inst.UID()); ok {
-		t.Fatal("endpoint still registered after terminate")
-	}
 	if err := r.mgr.Terminate(inst.UID(), true); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("double terminate = %v", err)
 	}
@@ -387,9 +385,6 @@ func TestLivenessProbeDetectsKill(t *testing.T) {
 	if inst.State() != states.ServiceFailed {
 		t.Fatalf("state = %s, want FAILED after kill", inst.State())
 	}
-	if _, ok := r.reg.Lookup(inst.UID()); ok {
-		t.Fatal("killed service still registered")
-	}
 }
 
 func TestConcurrentServiceHandlesParallelRequests(t *testing.T) {
@@ -405,7 +400,7 @@ func TestConcurrentServiceHandlesParallelRequests(t *testing.T) {
 	waitReady(t, r, a.UID(), b.UID())
 
 	run := func(uid string) time.Duration {
-		ep, _ := r.reg.Lookup(uid)
+		ep, _, _ := r.reg.Resolve(uid)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var maxQ time.Duration
@@ -447,7 +442,7 @@ func TestServiceQueueCapThroughManager(t *testing.T) {
 	d.QueueCap = 1
 	inst, _ := r.mgr.Submit(d)
 	waitReady(t, r, inst.UID())
-	ep, _ := r.reg.Lookup(inst.UID())
+	ep, _, _ := r.reg.Resolve(inst.UID())
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {

@@ -215,6 +215,11 @@ type Machine struct {
 	model *Model
 	clock simtime.Clock
 
+	// step serializes transitions: it is held from the legality check
+	// through the callbacks to the commit, so one transition's callbacks
+	// finish before the next transition is checked.
+	step sync.Mutex
+
 	mu        sync.Mutex
 	current   State
 	history   []Record
@@ -247,8 +252,10 @@ func (m *Machine) IsFinal() bool {
 	return m.model.IsFinal(m.current)
 }
 
-// OnTransition registers cb to run (synchronously, outside the machine
-// lock) after every committed transition.
+// OnTransition registers cb to run synchronously on every transition,
+// before the new state is visible to Current, IsFinal or WaitChan
+// waiters. A callback must not transition, or wait for a transition of,
+// its own machine.
 func (m *Machine) OnTransition(cb Callback) {
 	m.mu.Lock()
 	m.callbacks = append(m.callbacks, cb)
@@ -257,7 +264,14 @@ func (m *Machine) OnTransition(cb Callback) {
 
 // To transitions the machine to state to. It returns an error (and leaves
 // the machine unchanged) if the edge is illegal.
+//
+// The callbacks run first; only then does the new state become visible
+// and the WaitChan waiters wake. A waiter that observes a state can
+// therefore rely on every callback of that transition (the session's
+// Updater and journal among them) having returned.
 func (m *Machine) To(to State) error {
+	m.step.Lock()
+	defer m.step.Unlock()
 	m.mu.Lock()
 	from := m.current
 	if !m.model.CanTransition(from, to) {
@@ -265,9 +279,14 @@ func (m *Machine) To(to State) error {
 		return &TransitionError{Entity: m.model.entity, UID: m.uid, From: from, To: to}
 	}
 	at := m.clock.Now()
+	cbs := append([]Callback{}, m.callbacks...)
+	m.mu.Unlock()
+	for _, cb := range cbs {
+		cb(m.uid, from, to, at)
+	}
+	m.mu.Lock()
 	m.current = to
 	m.history = append(m.history, Record{State: to, At: at})
-	cbs := append([]Callback{}, m.callbacks...)
 	fire := m.waiters
 	m.waiters = nil
 	m.mu.Unlock()
@@ -277,9 +296,6 @@ func (m *Machine) To(to State) error {
 		case w <- to:
 		default:
 		}
-	}
-	for _, cb := range cbs {
-		cb(m.uid, from, to, at)
 	}
 	return nil
 }

@@ -273,3 +273,40 @@ func TestModelAccessors(t *testing.T) {
 		t.Fatalf("service model has %d states", len(m.States()))
 	}
 }
+
+// TestWaitersObserveStateAfterCallbacks pins the transition order: a
+// transition's callbacks run before the new state is visible, so a waiter
+// woken by WaitChan (or polling Current) can rely on every callback of
+// that transition having returned — the session's Updater and journal
+// among them.
+func TestWaitersObserveStateAfterCallbacks(t *testing.T) {
+	clk := simtime.NewVirtual(origin)
+	m := NewMachine("task.0006", TaskModel(), clk)
+	entered, release := make(chan struct{}), make(chan struct{})
+	m.OnTransition(func(uid string, from, to State, at time.Time) {
+		close(entered)
+		<-release
+	})
+	ch := m.WaitChan()
+	done := make(chan error, 1)
+	go func() { done <- m.To(TaskTmgrScheduling) }()
+	<-entered
+	select {
+	case s := <-ch:
+		t.Fatalf("waiter observed %s while the callback was still running", s)
+	default:
+	}
+	if s := m.Current(); s != TaskNew {
+		t.Fatalf("Current = %s while the callback was still running, want %s", s, TaskNew)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := <-ch; s != TaskTmgrScheduling {
+		t.Fatalf("waiter observed %s, want %s", s, TaskTmgrScheduling)
+	}
+	if s := m.Current(); s != TaskTmgrScheduling {
+		t.Fatalf("Current = %s after the callback returned", s)
+	}
+}
